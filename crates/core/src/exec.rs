@@ -205,14 +205,24 @@ impl Execution {
 
         // The liveness rescheduler (§3.3): tsan's background thread
         // periodically forces a reschedule when the active thread sits in
-        // invisible code.
+        // invisible code. It parks rather than sleeps, so the `unpark` on
+        // stop ends it at once.
         let liveness_handle = match (rt.mode().is_controlled(), liveness) {
             (true, Some(interval)) => {
                 let rt2 = Arc::clone(&rt);
                 Some(std::thread::spawn(move || {
+                    // `park_timeout` may return early (spuriously, or on a
+                    // stale token): re-park until the deadline, so
+                    // reschedules never come faster than `interval`.
+                    let mut deadline = Instant::now() + interval;
                     while !rt2.stop_liveness.load(AOrd::Relaxed) {
-                        std::thread::sleep(interval);
-                        rt2.sched().reschedule();
+                        let now = Instant::now();
+                        if now < deadline {
+                            std::thread::park_timeout(deadline - now);
+                        } else {
+                            rt2.sched().reschedule();
+                            deadline = Instant::now() + interval;
+                        }
                     }
                 }))
             }
@@ -244,11 +254,13 @@ impl Execution {
                 None => break,
             }
         }
-        // Measure before reaping the liveness thread: its sleep interval
-        // must not put a floor under short executions' durations.
+        // `duration` is the in-run time the paper's tables report; the
+        // teardown below (reaping the liveness thread, encoding the demo)
+        // stays outside it.
         let duration = start.elapsed();
         rt.stop_liveness.store(true, AOrd::Relaxed);
         if let Some(h) = liveness_handle {
+            h.thread().unpark();
             let _ = h.join();
         }
 
@@ -295,12 +307,16 @@ impl Execution {
         };
 
         let mut obs_report = rt.obs.as_ref().map(|o| o.finish()).unwrap_or_default();
-        // Stream counters describe the demo the run produced or consumed;
-        // they cost nothing to compute and are reported even with the
+        // Stream counters describe the demo the run produced or consumed,
+        // from its one binary encode; they are reported even with the
         // event trace off.
         if let Some(d) = produced_demo.as_ref().or(demo) {
             obs_report.streams = demo_stream_counters(d);
         }
+        // The counters' byte sum is `Demo::size_bytes()` by construction.
+        let demo_bytes = produced_demo
+            .is_some()
+            .then(|| obs_report.streams.iter().map(|s| s.bytes as usize).sum());
         if let Outcome::HardDesync(hd) = &mut outcome {
             // Diagnose the divergence: the demo's intended schedule vs
             // the ticks the trace actually saw (empty without tracing —
@@ -329,7 +345,7 @@ impl Execution {
             syscalls: vos.syscall_count(),
             duration,
             console: vos.console(),
-            demo_bytes: produced_demo.as_ref().map(Demo::size_bytes),
+            demo_bytes,
             replay_leftover_syscalls: rt.replay_leftover(),
             schedule_trace: rt
                 .sched
@@ -367,15 +383,16 @@ impl Execution {
     }
 }
 
-/// Per-stream entry and serialized-byte counters for a demo, keyed the
-/// way the demo directory is laid out on disk.
+/// Per-stream entry and binary-encoded byte counters for a demo, keyed
+/// the way the demo directory is laid out on disk. The bytes are the
+/// frame sizes [`Demo::save_dir`] writes (0 for an empty stream, which
+/// gets no file).
 fn demo_stream_counters(demo: &Demo) -> Vec<StreamCounter> {
-    let sizes = demo.to_string_map();
-    let bytes = |name: &str| sizes.get(name).map_or(0, |t| t.len() as u64);
+    let frames = demo.to_bytes_map();
     let entry = |name: &str, entries: u64| StreamCounter {
         stream: name.to_owned(),
         entries,
-        bytes: bytes(name),
+        bytes: frames.get(name).map_or(0, |f| f.len() as u64),
     };
     vec![
         entry("HEADER", 1),

@@ -1,6 +1,8 @@
 //! End-to-end execution tests across all tool modes.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tsan11rec::{
     Atomic, Condvar, Config, Execution, MemOrder, Mode, Mutex, Outcome, Shared, Strategy,
@@ -247,4 +249,68 @@ fn liveness_rescheduler_prevents_starvation() {
         h.join();
     });
     assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+}
+
+#[test]
+fn zero_op_runs_do_not_wait_out_the_liveness_interval() {
+    // Stopping the rescheduler must be immediate: N empty runs with a long
+    // interval take far less than N intervals (each used to pay one).
+    const RUNS: u32 = 10;
+    let interval = Duration::from_millis(200);
+    let mut config = Config::new(Mode::Tsan11Rec(Strategy::Random)).with_seeds([1, 2]);
+    config.liveness = Some(interval);
+    let start = Instant::now();
+    for _ in 0..RUNS {
+        let report = Execution::new(config.clone()).run(|| {});
+        assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+    }
+    let total = start.elapsed();
+    assert!(
+        total < 2 * interval,
+        "{RUNS} zero-op runs took {total:?} with a {interval:?} liveness interval"
+    );
+}
+
+/// Seeds under which the random strategy keeps the main thread active
+/// after its last visible op, so the child's first op is stuck behind it.
+const STARVING_SEEDS: [u64; 2] = [1, 2];
+
+/// Main takes the slot, then spins in invisible code (a plain std atomic)
+/// until the child's visible op has run, giving up after `patience`.
+/// Only a liveness reschedule can hand the slot to the waiting child.
+/// Returns whether the child's op ran before main gave up.
+fn invisible_spin_sees_child_op(config: Config, patience: Duration) -> bool {
+    let progressed = Arc::new(AtomicBool::new(false));
+    let out = Arc::clone(&progressed);
+    let report = Execution::new(config).run(move || {
+        let seen = Arc::new(AtomicBool::new(false));
+        let flag = Arc::new(Atomic::new(0u32));
+        let (seen2, flag2) = (Arc::clone(&seen), Arc::clone(&flag));
+        let child = tsan11rec::thread::spawn(move || {
+            flag2.store(1, MemOrder::SeqCst);
+            seen2.store(true, Ordering::Release);
+        });
+        let _ = flag.load(MemOrder::SeqCst);
+        let deadline = Instant::now() + patience;
+        while !seen.load(Ordering::Acquire) && Instant::now() < deadline {
+            std::hint::spin_loop();
+        }
+        out.store(seen.load(Ordering::Acquire), Ordering::Relaxed);
+        child.join();
+    });
+    assert!(report.outcome.is_ok(), "{:?}", report.outcome);
+    progressed.load(Ordering::Relaxed)
+}
+
+#[test]
+fn liveness_rescheduler_hands_the_slot_to_a_waiting_thread() {
+    let config = Config::new(Mode::Tsan11Rec(Strategy::Random)).with_seeds(STARVING_SEEDS);
+    assert!(
+        invisible_spin_sees_child_op(config.clone(), Duration::from_secs(20)),
+        "a liveness reschedule must let the waiting child's op run"
+    );
+    assert!(
+        !invisible_spin_sees_child_op(config.without_liveness(), Duration::from_millis(200)),
+        "without liveness the spinning thread keeps the slot"
+    );
 }

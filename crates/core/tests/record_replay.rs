@@ -378,3 +378,29 @@ fn queue_demo_sizes_scale_with_work() {
         small.size_bytes()
     );
 }
+
+#[test]
+fn stream_counters_sum_to_the_demo_on_disk() {
+    let (rec, demo) = Execution::new(rec_config(Strategy::Queue))
+        .setup(figure2_world)
+        .record(figure2_client);
+    let demo_bytes = rec.demo_bytes.expect("a record run reports its demo size");
+    let counted: u64 = rec.obs.streams.iter().map(|s| s.bytes).sum();
+    assert_eq!(counted, demo_bytes as u64);
+    assert_eq!(demo_bytes, demo.size_bytes());
+
+    let dir = std::env::temp_dir().join(format!("srr-stream-counters-{}", std::process::id()));
+    demo.save_dir(&dir).unwrap();
+    for s in &rec.obs.streams {
+        // An empty stream writes no file and counts 0 bytes.
+        let on_disk = std::fs::metadata(dir.join(&s.stream)).map_or(0, |m| m.len());
+        assert_eq!(s.bytes, on_disk, "{} counter vs file", s.stream);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Replay counts the demo it consumed: the same streams, byte for byte.
+    let rep = Execution::new(rec_config(Strategy::Queue)).replay(&demo, figure2_client);
+    assert!(rep.outcome.is_ok(), "{:?}", rep.outcome);
+    assert_eq!(rep.obs.streams, rec.obs.streams);
+    assert_eq!(rep.demo_bytes, None);
+}

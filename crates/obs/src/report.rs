@@ -16,14 +16,15 @@ pub struct ThreadTrace {
     pub dropped: u64,
 }
 
-/// Per-demo-stream size counters (entries and encoded bytes).
+/// Per-demo-stream size counters (entries and binary-encoded bytes).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StreamCounter {
     /// Stream name as in the demo directory (`"QUEUE"`, `"SYSCALL"`, …).
     pub stream: String,
     /// Number of recorded entries.
     pub entries: u64,
-    /// Encoded size in bytes.
+    /// Binary-encoded size in bytes: the stream's file as `save_dir`
+    /// writes it (0 for an empty stream, which gets no file).
     pub bytes: u64,
 }
 
@@ -43,8 +44,9 @@ pub struct ObsReport {
     pub threads: Vec<ThreadTrace>,
     /// The scheduler track (decisions, wakeups, broadcasts, desyncs).
     pub scheduler: ThreadTrace,
-    /// Per-stream entry/byte counters (filled on record and replay runs
-    /// even when tracing is off).
+    /// Per-stream entry and binary-encoded byte counters (filled on
+    /// record and replay runs even when tracing is off); on a record run
+    /// the bytes sum to the run's demo size.
     pub streams: Vec<StreamCounter>,
     /// Desync diagnostics, when the run desynchronised.
     pub desync: Option<DesyncDiagnostics>,

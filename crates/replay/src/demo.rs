@@ -203,27 +203,29 @@ impl Demo {
     /// signals writes no `SIGNAL` file); the `HEADER` is always present.
     #[must_use]
     pub fn to_bytes_map(&self) -> BTreeMap<String, Vec<u8>> {
-        let mut map = BTreeMap::new();
-        let mut put = |id: StreamId, payload: Vec<u8>| {
-            map.insert(id.file_name().to_owned(), codec::encode_frame(id, &payload));
+        StreamId::ALL
+            .into_iter()
+            .filter_map(|id| Some((id.file_name().to_owned(), self.stream_frame(id)?)))
+            .collect()
+    }
+
+    /// One stream's framed binary file image, `None` for an empty stream
+    /// (the `HEADER` is never empty).
+    fn stream_frame(&self, id: StreamId) -> Option<Vec<u8>> {
+        let payload = match id {
+            StreamId::Header => codec::encode_header(&self.header),
+            StreamId::Queue if !self.queue.is_empty() => codec::encode_queue(&self.queue),
+            StreamId::Signal if !self.signals.is_empty() => codec::encode_signals(&self.signals),
+            StreamId::Syscall if !self.syscalls.is_empty() => {
+                codec::encode_syscalls(&self.syscalls)
+            }
+            StreamId::Async if !self.async_events.is_empty() => {
+                codec::encode_asyncs(&self.async_events)
+            }
+            StreamId::Alloc if !self.alloc.is_empty() => codec::encode_alloc(&self.alloc),
+            _ => return None,
         };
-        put(StreamId::Header, codec::encode_header(&self.header));
-        if !self.queue.is_empty() {
-            put(StreamId::Queue, codec::encode_queue(&self.queue));
-        }
-        if !self.signals.is_empty() {
-            put(StreamId::Signal, codec::encode_signals(&self.signals));
-        }
-        if !self.syscalls.is_empty() {
-            put(StreamId::Syscall, codec::encode_syscalls(&self.syscalls));
-        }
-        if !self.async_events.is_empty() {
-            put(StreamId::Async, codec::encode_asyncs(&self.async_events));
-        }
-        if !self.alloc.is_empty() {
-            put(StreamId::Alloc, codec::encode_alloc(&self.alloc));
-        }
-        map
+        Some(codec::encode_frame(id, &payload))
     }
 
     /// Parses a per-file byte map, auto-detecting the format of each
@@ -428,9 +430,7 @@ impl Demo {
     /// demos).
     #[must_use]
     pub fn syscall_bytes(&self) -> usize {
-        self.to_bytes_map()
-            .get(StreamId::Syscall.file_name())
-            .map_or(0, Vec::len)
+        self.stream_frame(StreamId::Syscall).map_or(0, |f| f.len())
     }
 
     /// Per-stream summary statistics.
@@ -687,6 +687,12 @@ mod tests {
         assert!(full.size_bytes() > empty.size_bytes());
         assert!(full.syscall_bytes() > 0);
         assert!(full.syscall_bytes() < full.size_bytes());
+        // Framing SYSCALL alone measures exactly its file in the full map.
+        assert_eq!(
+            full.syscall_bytes(),
+            full.to_bytes_map()[StreamId::Syscall.file_name()].len()
+        );
+        assert_eq!(empty.syscall_bytes(), 0);
     }
 
     #[test]
