@@ -11,7 +11,10 @@
 #  3. Text-compat + conversion: pre-codec text fixtures still load
 #     through auto-detect, and `srr demo convert` round-trips a live
 #     recording text→bin→text with the store hashes unchanged.
-#  4. Throughput/size gate: the codec bench asserts binary loads ≥ 1.5×
+#  4. Load-time validation: a text demo with a broken QUEUE invariant
+#     makes `lint-demo` exit 2 naming QUEUE and `replay` exit 1 with the
+#     typed error, before any run starts.
+#  5. Throughput/size gate: the codec bench asserts binary loads ≥ 1.5×
 #     faster than text and the deduplicating store shrinks the hazard
 #     corpus ≥ 40%; the deterministic byte-count rows are then diffed
 #     against bench/baseline.json.
@@ -35,8 +38,9 @@ cargo test -q -p srr-apps --test demo_compat
 section "srr demo convert round trip"
 DEMO_DIR="$(mktemp -d)"
 TEXT_DIR="$(mktemp -d)"
-# lib.sh owns the EXIT trap for tmpfile(); extend it for the two dirs.
-trap 'rm -rf "$DEMO_DIR" "$TEXT_DIR"; _ci_cleanup' EXIT
+BAD_DIR="$(mktemp -d)"
+# lib.sh owns the EXIT trap for tmpfile(); extend it for the demo dirs.
+trap 'rm -rf "$DEMO_DIR" "$TEXT_DIR" "$BAD_DIR"; _ci_cleanup' EXIT
 srr record client --tool queue --seed 5 --out "$DEMO_DIR" >/dev/null
 HASHES="$(tmpfile)"
 srr demo hash --demo "$DEMO_DIR" >"$HASHES"
@@ -49,6 +53,24 @@ diff -u "$HASHES" <(srr demo hash --demo "$TEXT_DIR") ||
   fail "text→bin→text round trip changed the stream hashes"
 srr lint-demo --demo "$TEXT_DIR" >/dev/null || fail "converted demo does not lint clean"
 srr replay client --demo "$TEXT_DIR" >/dev/null || fail "converted demo does not replay"
+
+section "invariant violations fail at load"
+srr demo convert --demo "$DEMO_DIR" --to text --out "$BAD_DIR" 2>/dev/null
+# One more thread whose first tick is 1: tick 1 is now claimed twice.
+sed -i '/^first /s/$/ 1/' "$BAD_DIR/QUEUE"
+ERR="$(tmpfile)"
+OUT="$(tmpfile)"
+status=0
+srr lint-demo --demo "$BAD_DIR" >"$OUT" 2>"$ERR" || status=$?
+[ "$status" -eq 2 ] || fail "lint-demo exited $status on a broken QUEUE (want 2)"
+grep -q '^QUEUE entry [0-9]*: .*already scheduled' "$ERR" ||
+  fail "lint-demo did not name the QUEUE violation: $(cat "$ERR")"
+status=0
+srr replay client --demo "$BAD_DIR" >"$OUT" 2>"$ERR" || status=$?
+[ "$status" -eq 1 ] || fail "replay exited $status on a broken QUEUE (want 1)"
+grep -q '^srr: loading demo: invalid demo: QUEUE entry ' "$ERR" ||
+  fail "replay did not fail with the typed load error: $(cat "$ERR")"
+[ ! -s "$OUT" ] || fail "replay started despite the invalid demo: $(cat "$OUT")"
 
 section "bench codec (--quick) + baseline gate"
 cargo bench -p srr-bench --bench codec -- --quick

@@ -1,15 +1,10 @@
 //! Offline analysis over sparse-record executions (`srr-analysis`).
 //!
-//! The runtime can record two things this crate consumes after the run:
-//!
-//! * a **structured sync-event trace** ([`SyncTrace`], recorded behind
-//!   `Config::with_sync_trace`) — every mutex request/acquire/release,
-//!   condvar wait/notify, atomic access (with the observed writer) and
-//!   instrumented plain access, stamped with the scheduler tick; and
-//! * a **demo directory** (§4's `HEADER`/`QUEUE`/`SIGNAL`/`SYSCALL`/
-//!   `ASYNC`/`ALLOC` stream files).
-//!
-//! Three analyses run over them:
+//! The runtime can record a **structured sync-event trace**
+//! ([`SyncTrace`], recorded behind `Config::with_sync_trace`) — every
+//! mutex request/acquire/release, condvar wait/notify, atomic access
+//! (with the observed writer) and instrumented plain access, stamped with
+//! the scheduler tick. Two analyses run over it:
 //!
 //! 1. [`predict_deadlocks`] — Goodlock-style lock-order-graph cycle
 //!    detection. §3.2's controlled scheduler *preserves* deadlocks that
@@ -19,23 +14,21 @@
 //!    condvar waits returning without a predicate re-check, and relaxed
 //!    cross-thread loads feeding visible-op decisions (the §6 replay
 //!    hazard).
-//! 3. [`lint_demo_map`] / [`lint_demo_dir`] — a structural linter for
-//!    demo directories with file/line-precise [`DemoDiagnostic`]s.
 //!
-//! [`analyze`] bundles the trace-based passes; the CLI exposes all three
-//! as `srr analyze <workload>` and `srr lint-demo --demo DIR`.
+//! [`analyze`] bundles both; the CLI exposes them as `srr analyze
+//! <workload>`. Demo directories are not this crate's business: their
+//! invariants live in `srr_replay::Demo::validate`, which every demo load
+//! runs and `srr lint-demo` reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod deadlock;
-mod demo_lint;
 mod events;
 mod findings;
 mod lints;
 
 pub use deadlock::predict_deadlocks;
-pub use demo_lint::{lint_demo_dir, lint_demo_map, DemoDiagnostic};
 pub use events::{SyncEvent, SyncTrace, SyncTraceBuilder};
 pub use findings::{Finding, FindingKind, Severity, SourceSpan};
 pub use lints::{condvar_no_recheck, misuse_lints, mixed_atomic_plain, relaxed_load_decision};

@@ -1,10 +1,10 @@
 //! End-to-end tests: the analysis passes driven through the full runtime
 //! stack (sync-event trace collection in `tsan11rec`, workloads from
-//! `srr-apps`), and the demo linter over genuinely recorded demos.
+//! `srr-apps`).
 
 use srr_apps::harness::Tool;
 use srr_apps::hazards::{self, AbBaParams};
-use srr_apps::{client, httpd};
+use srr_apps::httpd;
 use tsan11rec::{Execution, FindingKind, Outcome};
 
 fn deadlock_findings(report: &tsan11rec::ExecReport) -> Vec<&tsan11rec::Finding> {
@@ -73,72 +73,6 @@ fn well_ordered_workloads_produce_no_deadlock_findings() {
         "httpd has a consistent lock order: {:?}",
         report.analysis
     );
-}
-
-/// Every recorded demo (two different workloads, two strategies) passes
-/// the offline linter, and a truncated SYSCALL stream is rejected with a
-/// diagnostic pointing at the syscall header line.
-#[test]
-fn recorded_demos_lint_clean_and_truncation_is_line_precise() {
-    type Case = (&'static str, Tool, Box<dyn FnOnce() + Send>);
-    let dir = std::env::temp_dir().join(format!("srr-analysis-e2e-{}", std::process::id()));
-    let cases: Vec<Case> = vec![
-        ("client-queue", Tool::QueueRec, {
-            let p = client::ClientParams::default();
-            Box::new(move || (client::client(p))())
-        }),
-        ("client-rnd", Tool::RndRec, {
-            let p = client::ClientParams::default();
-            Box::new(move || (client::client(p))())
-        }),
-        ("hazard-queue", Tool::QueueRec, {
-            Box::new(move || (hazards::mixed_counter())())
-        }),
-    ];
-    for (name, tool, program) in cases {
-        let out = dir.join(name);
-        let needs_world = name.starts_with("client");
-        let exec = Execution::new(tool.config([9, 13]));
-        let exec = if needs_world {
-            let p = client::ClientParams::default();
-            exec.setup(move |vos| (client::world(p))(vos))
-        } else {
-            exec
-        };
-        let (report, demo) = exec.record(program);
-        assert!(report.outcome.is_ok(), "{name}: {:?}", report.outcome);
-        // Text format: the truncation below edits SYSCALL line by line.
-        demo.save_dir_as(&out, srr_replay::DemoFormat::Text)
-            .expect("save demo");
-        let diags = srr_analysis::lint_demo_dir(&out).expect("readable demo dir");
-        assert!(diags.is_empty(), "{name} must lint clean: {diags:?}");
-    }
-
-    // Corrupt the client-queue demo: drop everything after the first
-    // syscall record's header line, leaving its buffers missing.
-    let syscall = dir.join("client-queue").join("SYSCALL");
-    let text = std::fs::read_to_string(&syscall).expect("client records syscalls");
-    let first_syscall_ln = text
-        .lines()
-        .position(|l| l.trim_start().starts_with("syscall ") && !l.contains("nbufs=0"))
-        .expect("at least one syscall record carrying buffers")
-        + 1;
-    let keep: String = text
-        .lines()
-        .take(first_syscall_ln)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert!(keep.contains("nbufs="), "header line declares buffers");
-    std::fs::write(&syscall, keep).unwrap();
-    let diags = srr_analysis::lint_demo_dir(&dir.join("client-queue")).unwrap();
-    assert!(!diags.is_empty(), "truncated SYSCALL must be rejected");
-    let hit = diags
-        .iter()
-        .find(|d| d.file == "SYSCALL" && d.line == first_syscall_ln)
-        .unwrap_or_else(|| panic!("diagnostic at SYSCALL:{first_syscall_ln}, got {diags:?}"));
-    assert!(hit.message.contains("missing"), "{hit}");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The misuse lints ride the same end-to-end path. The mixed-access

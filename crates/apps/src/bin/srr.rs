@@ -50,7 +50,7 @@ use srr_explore::{
 use srr_obs::{FarmCounters, MetricsRegistry};
 use srr_plan::SiteClass;
 use srr_predict::Classification;
-use srr_replay::{DemoFormat, StreamHash};
+use srr_replay::{DemoFormat, DemoLoadError, StreamHash};
 use srr_vet::Allowlist;
 use tsan11rec::obs::Json;
 use tsan11rec::vos::Vos;
@@ -414,6 +414,23 @@ fn findings_exit(count: usize, noun: &str) -> u8 {
     }
     eprintln!("{count} {noun}(s) — exit {EXIT_FINDINGS}");
     EXIT_FINDINGS
+}
+
+/// What `lint-demo` reports for a demo directory, one line per problem.
+/// The loader is the linter: a syntax error comes from the parser or
+/// codec, broken invariants from `Demo::validate`. Empty means the demo
+/// is well-formed; an unreadable file is an execution error.
+fn demo_problems(dir: &Path) -> Result<Vec<String>, String> {
+    match Demo::load_dir(dir) {
+        Ok(_) => Ok(Vec::new()),
+        Err(DemoLoadError::Io { file, source }) => {
+            Err(format!("reading demo dir: {file}: {source}"))
+        }
+        Err(DemoLoadError::Invalid(violations)) => {
+            Ok(violations.iter().map(ToString::to_string).collect())
+        }
+        Err(e) => Ok(vec![e.to_string()]),
+    }
 }
 
 /// Maps a demo's recorded strategy back to the tool that replays it —
@@ -1191,15 +1208,14 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
         }
         "lint-demo" => {
             let dir = args.demo.clone().ok_or("lint-demo needs --demo DIR")?;
-            let diags =
-                srr_analysis::lint_demo_dir(&dir).map_err(|e| format!("reading demo dir: {e}"))?;
-            if diags.is_empty() {
+            let problems = demo_problems(&dir)?;
+            if problems.is_empty() {
                 println!("{}: demo is well-formed", dir.display());
             }
-            for d in &diags {
-                eprintln!("{d}");
+            for p in &problems {
+                eprintln!("{p}");
             }
-            Ok(findings_exit(diags.len(), "demo problem"))
+            Ok(findings_exit(problems.len(), "demo problem"))
         }
         "vet" => {
             if args.positional.is_empty() {
@@ -1898,6 +1914,113 @@ mod tests {
         assert!(
             run_command(&argv(&["lint-demo"])).is_err(),
             "missing --demo"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Records a client demo into `dir` and rewrites it, still with valid
+    /// checksums, so the QUEUE stream ends early: its first ticks and last
+    /// next-tick entries then name ticks past the end.
+    fn record_truncated_queue_demo(dir: &Path) -> Demo {
+        run_command(&argv(&[
+            "record",
+            "client",
+            "--tool",
+            "queue",
+            "--seed",
+            "5",
+            "--out",
+            dir.to_str().unwrap(),
+        ]))
+        .expect("record");
+        let mut demo = Demo::load_dir(dir).expect("recorded demo loads");
+        let keep = demo.queue.next_ticks.len() / 2;
+        demo.queue.next_ticks.truncate(keep);
+        demo.save_dir(dir).unwrap();
+        demo
+    }
+
+    #[test]
+    fn invalid_demo_fails_typed_before_any_run() {
+        let base = std::env::temp_dir().join(format!("srr-invalid-{}", std::process::id()));
+        let dir = base.join("demo");
+        let demo = record_truncated_queue_demo(&dir);
+        assert!(!demo.validate().is_empty());
+        let d = dir.to_str().unwrap();
+        let trace_out = base.join("trace.json");
+        let profile_out = base.join("profile.txt");
+        for (cmd, out) in [
+            (vec!["replay", "client", "--demo", d], None),
+            (
+                vec![
+                    "trace",
+                    "client",
+                    "--demo",
+                    d,
+                    "--out",
+                    trace_out.to_str().unwrap(),
+                ],
+                Some(&trace_out),
+            ),
+            (
+                vec![
+                    "profile",
+                    "client",
+                    "--demo",
+                    d,
+                    "-o",
+                    profile_out.to_str().unwrap(),
+                ],
+                Some(&profile_out),
+            ),
+        ] {
+            let err = run_command(&argv(&cmd)).expect_err("invalid demo must not run");
+            assert!(
+                err.starts_with("loading demo: invalid demo: QUEUE entry "),
+                "{cmd:?}: {err}"
+            );
+            assert!(!err.contains("desync"), "{cmd:?}: {err}");
+            // The run never started, so it wrote no report.
+            if let Some(out) = out {
+                assert!(!out.exists(), "{cmd:?} wrote {}", out.display());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn lint_demo_reports_every_violation_with_stream_and_entry() {
+        let dir = std::env::temp_dir().join(format!("srr-lint-two-{}", std::process::id()));
+        let mut demo = record_truncated_queue_demo(&dir);
+        // A second fault in another stream: a signal to a thread the
+        // queue never created.
+        demo.signals.push(srr_replay::SignalEvent {
+            tid: 99,
+            tick: 1,
+            signo: 10,
+        });
+        demo.save_dir(&dir).unwrap();
+        let problems = demo_problems(&dir).expect("readable demo");
+        let violations = demo.validate();
+        assert_eq!(
+            problems,
+            violations
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+        );
+        assert!(
+            problems.iter().any(|p| p.starts_with("QUEUE entry ")),
+            "{problems:?}"
+        );
+        let signal = format!("SIGNAL entry {}: tid 99 out of range", demo.signals.len());
+        assert!(
+            problems.iter().any(|p| p.starts_with(&signal)),
+            "{problems:?}"
+        );
+        assert_eq!(
+            run_command(&argv(&["lint-demo", "--demo", dir.to_str().unwrap()])),
+            Ok(EXIT_FINDINGS)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

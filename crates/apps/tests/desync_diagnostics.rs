@@ -1,14 +1,20 @@
 //! Desync diagnostics: corrupting the committed queue fixture's QUEUE
 //! stream must produce a hard desync whose report names the first
 //! divergent tick, the failing thread, and the stream offset.
+//!
+//! The loader rejects such a demo before any run, so these tests replay
+//! the corrupted demo from memory: the runtime diagnostics stay the last
+//! line of defence for demos that are valid on their own but still
+//! diverge.
 
 mod common;
 
 use common::{bounded_buffer, config, fixture_dir};
+use srr_replay::{DemoLoadError, StreamId};
 use tsan11rec::{Demo, Execution, Strategy, TraceSpec};
 
-/// Truncates the fixture's QUEUE stream to `keep` entries, round-trips
-/// the corrupted demo through the on-disk format, and replays it.
+/// Truncates the fixture's QUEUE stream to `keep` entries, checks that
+/// the on-disk round trip now rejects it, and replays it from memory.
 fn corrupt_and_replay(keep: usize) -> (tsan11rec::ExecReport, Demo, Vec<(u32, u64)>) {
     let dir = fixture_dir("queue");
     let mut demo = Demo::load_dir(&dir)
@@ -20,18 +26,24 @@ fn corrupt_and_replay(keep: usize) -> (tsan11rec::ExecReport, Demo, Vec<(u32, u6
     );
     demo.queue.next_ticks.truncate(keep);
 
-    // Round-trip through serialization so the corruption exercises the
-    // same loader path a hand-edited demo directory would.
+    // A hand-edited demo directory goes through the loader, which now
+    // refuses the truncation: ticks past the end are still claimed.
     let tmp = std::env::temp_dir().join(format!("srr-desync-fixture-{}", std::process::id()));
     demo.save_dir(&tmp).expect("save corrupted demo");
-    let corrupted = Demo::load_dir(&tmp).expect("reload corrupted demo");
+    let err = Demo::load_dir(&tmp).expect_err("loader rejects a truncated QUEUE");
     std::fs::remove_dir_all(&tmp).ok();
-    assert_eq!(corrupted.queue.next_ticks.len(), keep);
+    match &err {
+        DemoLoadError::Invalid(v) => assert!(
+            v.iter().all(|v| v.stream == StreamId::Queue),
+            "only QUEUE is broken: {err}"
+        ),
+        other => panic!("expected Invalid, got {other}"),
+    }
 
     let cfg =
         config(Strategy::Queue, [11, 13]).with_trace(TraceSpec::new().with_ring_capacity(4096));
-    let rep = Execution::new(cfg).replay(&corrupted, bounded_buffer);
-    (rep, corrupted, full_order)
+    let rep = Execution::new(cfg).replay(&demo, bounded_buffer);
+    (rep, demo, full_order)
 }
 
 #[test]

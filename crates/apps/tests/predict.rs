@@ -6,9 +6,9 @@
 //!   reports nothing), the value-guarded pair is INFEASIBLE;
 //! * the committed witness-demo fixture replays and the targeted race
 //!   fires at the predicted pair;
-//! * synthesized witnesses round-trip through the demo linter and the
-//!   serialization codec before replaying (the programmatic builder must
-//!   produce demos `srr lint-demo` accepts);
+//! * synthesized witnesses pass `Demo::validate` and round-trip through
+//!   the serialization codec before replaying (the programmatic builder
+//!   must produce demos every loader accepts);
 //! * property: every CONFIRMED witness replays without hard desync,
 //!   across seeds.
 
@@ -87,7 +87,7 @@ fn committed_witness_fixture_replays_and_races() {
 }
 
 #[test]
-fn synthesized_witness_round_trips_through_linter_and_codec() {
+fn synthesized_witness_round_trips_through_validator_and_codec() {
     let run = run_prediction([7, 11], hazards::hidden_handoff);
     let witness = run
         .predictions
@@ -96,10 +96,13 @@ fn synthesized_witness_round_trips_through_linter_and_codec() {
         .find_map(|r| r.witness.as_ref())
         .expect("a witness was synthesized");
 
-    // Lint: the programmatic builder's demos must satisfy the same QUEUE
-    // invariants `srr lint-demo` enforces on recorded directories.
-    let diags = srr_analysis::lint_demo_map(&witness.to_string_map());
-    assert!(diags.is_empty(), "witness demo must lint clean: {diags:?}");
+    // The programmatic builder's demos must satisfy the same invariants
+    // every demo load enforces on recorded directories.
+    let violations = witness.validate();
+    assert!(
+        violations.is_empty(),
+        "witness demo must validate: {violations:?}"
+    );
 
     // Codec round-trip, then replay the reloaded demo.
     let reloaded =

@@ -12,6 +12,7 @@ use std::path::Path;
 use crate::codec::{self, CodecError, StreamId};
 use crate::rle;
 use crate::streams::{parse_syscalls, AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
+use crate::validate::DemoViolation;
 
 /// Demo format version understood by this crate.
 pub const FORMAT_VERSION: u32 = 1;
@@ -83,46 +84,45 @@ impl DemoHeader {
         )
     }
 
-    fn from_text(text: &str) -> Result<Self, String> {
+    /// Parses the text form. Errors carry the 1-based line they were
+    /// found on, `None` for a missing line.
+    fn from_text(text: &str) -> Result<Self, (Option<usize>, String)> {
         let mut version = None;
         let mut tool = None;
         let mut strategy = None;
         let mut seeds = None;
-        for line in text.lines() {
+        for (i, line) in text.lines().enumerate() {
             let line = line.trim();
+            let at = |err: String| (Some(i + 1), err);
             if line.is_empty() {
                 continue;
             }
             if let Some(v) = line.strip_prefix("tsan11rec-demo v") {
-                version = Some(v.parse().map_err(|_| format!("bad version `{v}`"))?);
+                let v: u32 = v.parse().map_err(|_| at(format!("bad version `{v}`")))?;
+                if v != FORMAT_VERSION {
+                    return Err(at(format!("unsupported demo version {v}")));
+                }
+                version = Some(v);
             } else if let Some(t) = line.strip_prefix("tool ") {
                 tool = Some(t.to_owned());
             } else if let Some(s) = line.strip_prefix("strategy ") {
                 strategy = Some(s.to_owned());
             } else if let Some(s) = line.strip_prefix("seed ") {
-                let mut it = s.split_whitespace();
-                let a = it
-                    .next()
-                    .and_then(|x| x.parse().ok())
-                    .ok_or_else(|| format!("bad seed line `{line}`"))?;
-                let b = it
-                    .next()
-                    .and_then(|x| x.parse().ok())
-                    .ok_or_else(|| format!("bad seed line `{line}`"))?;
-                seeds = Some([a, b]);
+                let mut it = s.split_whitespace().map(str::parse);
+                match (it.next(), it.next(), it.next()) {
+                    (Some(Ok(a)), Some(Ok(b)), None) => seeds = Some([a, b]),
+                    _ => return Err(at(format!("bad seed line `{line}`"))),
+                }
             } else {
-                return Err(format!("unknown HEADER line `{line}`"));
+                return Err(at(format!("unknown HEADER line `{line}`")));
             }
         }
-        let version = version.ok_or("missing version line")?;
-        if version != FORMAT_VERSION {
-            return Err(format!("unsupported demo version {version}"));
-        }
+        let missing = |what: &str| (None, format!("missing {what} line"));
         Ok(DemoHeader {
-            version,
-            tool: tool.ok_or("missing tool line")?,
-            strategy: strategy.ok_or("missing strategy line")?,
-            seeds: seeds.ok_or("missing seed line")?,
+            version: version.ok_or_else(|| missing("version"))?,
+            tool: tool.ok_or_else(|| missing("tool"))?,
+            strategy: strategy.ok_or_else(|| missing("strategy"))?,
+            seeds: seeds.ok_or_else(|| missing("seed"))?,
         })
     }
 }
@@ -231,12 +231,14 @@ impl Demo {
     /// Parses a per-file byte map, auto-detecting the format of each
     /// file: files starting with the `SRRB` magic decode through the
     /// binary codec, anything else parses as text. Mixed directories are
-    /// fine. Missing stream files are treated as empty.
+    /// fine. Missing stream files are treated as empty. The decoded demo
+    /// must pass [`Demo::validate`].
     ///
     /// # Errors
     ///
     /// [`DemoLoadError`] naming the offending file (with a line number
-    /// for text streams, a typed [`CodecError`] for binary ones).
+    /// for text streams, a typed [`CodecError`] for binary ones), or
+    /// [`DemoLoadError::Invalid`] listing every broken invariant.
     pub fn from_bytes_map(map: &BTreeMap<String, Vec<u8>>) -> Result<Self, DemoLoadError> {
         let mut header = None;
         let mut queue = QueueStream::default();
@@ -293,9 +295,9 @@ impl Demo {
                     line: None,
                     err: "not UTF-8 and not a binary frame".into(),
                 })?;
-                let bad = |err: String| DemoLoadError::Malformed {
+                let bad = |(line, err)| DemoLoadError::Malformed {
                     file: file.clone(),
-                    line: None,
+                    line,
                     err,
                 };
                 match id {
@@ -310,19 +312,24 @@ impl Demo {
                     StreamId::Async => {
                         async_events = parse_lines(text, &file, AsyncEvent::from_line)?;
                     }
-                    StreamId::Alloc => alloc = rle::decode_u64s(text).map_err(bad)?,
+                    StreamId::Alloc => alloc = parse_lines(text, &file, rle::decode_u64s)?.concat(),
                 }
             }
         }
-        let header = header.ok_or(DemoLoadError::MissingHeader)?;
-        Ok(Demo {
-            header,
+        let demo = Demo {
+            header: header.ok_or(DemoLoadError::MissingHeader)?,
             queue,
             signals,
             syscalls,
             async_events,
             alloc,
-        })
+        };
+        let violations = demo.validate();
+        if violations.is_empty() {
+            Ok(demo)
+        } else {
+            Err(DemoLoadError::Invalid(violations))
+        }
     }
 
     /// Parses the per-file text map produced by [`Demo::to_string_map`].
@@ -332,7 +339,9 @@ impl Demo {
     ///
     /// # Errors
     ///
-    /// Returns [`DemoLoadError::Malformed`] naming the offending file.
+    /// Returns [`DemoLoadError::Malformed`] naming the offending file, or
+    /// [`DemoLoadError::Invalid`] for a demo that fails
+    /// [`Demo::validate`].
     pub fn from_string_map(map: &BTreeMap<String, String>) -> Result<Self, DemoLoadError> {
         let bytes = map
             .iter()
@@ -388,7 +397,8 @@ impl Demo {
     ///
     /// # Errors
     ///
-    /// Returns [`DemoLoadError`] on IO failure or malformed content.
+    /// Returns [`DemoLoadError`] on IO failure, malformed content, or a
+    /// demo that fails [`Demo::validate`].
     pub fn load_dir(dir: &Path) -> Result<Self, DemoLoadError> {
         let mut map = BTreeMap::new();
         for id in StreamId::ALL {
@@ -537,6 +547,9 @@ pub enum DemoLoadError {
         /// The underlying error.
         source: io::Error,
     },
+    /// Every stream decoded, but the demo breaks invariants replay relies
+    /// on ([`Demo::validate`]); never empty.
+    Invalid(Vec<DemoViolation>),
 }
 
 impl fmt::Display for DemoLoadError {
@@ -555,6 +568,16 @@ impl fmt::Display for DemoLoadError {
             } => write!(f, "malformed {file}: {err}"),
             DemoLoadError::Codec { file, err } => write!(f, "cannot decode {file}: {err}"),
             DemoLoadError::Io { file, source } => write!(f, "cannot read {file}: {source}"),
+            DemoLoadError::Invalid(violations) => {
+                write!(f, "invalid demo")?;
+                if let Some(first) = violations.first() {
+                    write!(f, ": {first}")?;
+                }
+                match violations.len() {
+                    0 | 1 => Ok(()),
+                    n => write!(f, " (and {} more)", n - 1),
+                }
+            }
         }
     }
 }
@@ -580,7 +603,7 @@ mod tests {
             next_ticks: vec![3, 4, 0, 0],
         };
         d.signals.push(SignalEvent {
-            tid: 2,
+            tid: 1,
             tick: 5,
             signo: 15,
         });

@@ -16,16 +16,23 @@
 //! Each stream file exists in two formats ([`DemoFormat`]): a framed,
 //! checksummed binary form ([`codec`] — varint + RLE payloads, decoded
 //! zero-copy; the default), and the original line-oriented text form
-//! kept for fixtures and diffing. Loading auto-detects per file, so
-//! either (or a mix) loads transparently. [`DemoStore`] layers
-//! content-addressed, stream-deduplicated storage on top for corpora
-//! and archives.
+//! kept as the import/export format for fixtures and diffing. Both decode
+//! into the same structs. Loading auto-detects per file, so either (or a
+//! mix) loads transparently. [`DemoStore`] layers content-addressed,
+//! stream-deduplicated storage on top for corpora and archives.
+//!
+//! Every load then runs [`Demo::validate`], the one home of the demo
+//! invariants (each tick claimed exactly once, monotone signal, syscall
+//! and async ticks, contiguous syscall sequence numbers, in-range thread
+//! ids). A demo that breaks one is refused with
+//! [`DemoLoadError::Invalid`], every [`DemoViolation`] naming its stream
+//! and entry, before a run can start.
 //!
 //! The crate provides the typed event model ([`SignalEvent`],
 //! [`SyscallRecord`], [`AsyncEvent`], [`QueueStream`]), the run-length
 //! codecs ([`rle`]), serialization ([`Demo::save_dir`] / [`Demo::load_dir`]
-//! and in-memory string/byte forms), and the desynchronisation taxonomy
-//! ([`HardDesync`], [`SoftDesync`]).
+//! and in-memory string/byte forms), validation, and the
+//! desynchronisation taxonomy ([`HardDesync`], [`SoftDesync`]).
 //!
 //! # Example
 //!
@@ -49,9 +56,11 @@ mod desync;
 pub mod rle;
 mod store;
 mod streams;
+mod validate;
 
 pub use codec::{CodecError, StreamId};
 pub use demo::{Demo, DemoFormat, DemoHeader, DemoLoadError, DemoStats, FORMAT_VERSION};
 pub use desync::{DesyncKind, HardDesync, SoftDesync};
 pub use store::{DemoStore, StreamHash, StreamHashes};
 pub use streams::{AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
+pub use validate::DemoViolation;

@@ -126,12 +126,13 @@ impl DemoStore {
     }
 
     /// Loads the demo stored under `id`, verifying each blob against its
-    /// content hash.
+    /// content hash and the demo against [`Demo::validate`].
     ///
     /// # Errors
     ///
     /// [`DemoLoadError`]; a missing id or corrupted blob reports as
-    /// [`DemoLoadError::Io`] / [`DemoLoadError::Malformed`].
+    /// [`DemoLoadError::Io`] / [`DemoLoadError::Malformed`], a broken
+    /// invariant as [`DemoLoadError::Invalid`].
     pub fn load(&self, id: &str) -> Result<Demo, DemoLoadError> {
         let entry = self.entries.get(id).ok_or_else(|| DemoLoadError::Io {
             file: id.into(),
@@ -403,7 +404,7 @@ mod tests {
         let mut store = DemoStore::open(&root).unwrap();
         let a = demo_with_syscall("queue", b"hello");
         let mut b = a.clone();
-        b.queue.first_tick = vec![1, 2];
+        b.queue.first_tick = vec![1];
         b.queue.next_ticks = vec![2, 0];
         store.insert("a", &a).unwrap();
         store.insert("b", &b).unwrap();

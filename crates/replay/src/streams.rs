@@ -1,6 +1,7 @@
 //! Typed events for the demo streams, with their line formats.
 
 use std::collections::HashMap;
+use std::str::{FromStr, SplitWhitespace};
 
 use crate::demo::DemoLoadError;
 use crate::rle;
@@ -26,15 +27,20 @@ impl SignalEvent {
     }
 
     pub(crate) fn from_line(line: &str) -> Result<Self, String> {
-        let mut it = line.split_whitespace();
-        let parse = |s: Option<&str>, what: &str| -> Result<i64, String> {
-            s.ok_or_else(|| format!("missing {what} in SIGNAL line `{line}`"))?
+        fn field<T: FromStr>(
+            it: &mut SplitWhitespace<'_>,
+            what: &str,
+            line: &str,
+        ) -> Result<T, String> {
+            it.next()
+                .ok_or_else(|| format!("missing {what} in SIGNAL line `{line}`"))?
                 .parse()
                 .map_err(|_| format!("bad {what} in SIGNAL line `{line}`"))
-        };
-        let tid = parse(it.next(), "tid")? as u32;
-        let tick = parse(it.next(), "tick")? as u64;
-        let signo = parse(it.next(), "signo")? as i32;
+        }
+        let mut it = line.split_whitespace();
+        let tid = field(&mut it, "tid", line)?;
+        let tick = field(&mut it, "tick", line)?;
+        let signo = field(&mut it, "signo", line)?;
         if it.next().is_some() {
             return Err(format!("trailing junk in SIGNAL line `{line}`"));
         }
@@ -83,12 +89,6 @@ impl SyscallRecord {
         }
         out
     }
-
-    /// Approximate on-disk size in bytes of this record.
-    #[must_use]
-    pub fn encoded_size(&self) -> usize {
-        self.to_lines().len()
-    }
 }
 
 /// An asynchronous event (§4.5): not wrapped in `Wait()`/`Tick()`, floated
@@ -128,13 +128,13 @@ impl AsyncEvent {
 
     pub(crate) fn from_line(line: &str) -> Result<Self, String> {
         let mut it = line.split_whitespace();
-        match it.next() {
+        let event = match it.next() {
             Some("reschedule") => {
                 let tick = it
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| format!("bad reschedule line `{line}`"))?;
-                Ok(AsyncEvent::Reschedule { tick })
+                AsyncEvent::Reschedule { tick }
             }
             Some("sigwakeup") => {
                 let tid = it
@@ -145,10 +145,14 @@ impl AsyncEvent {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| format!("bad sigwakeup tick in `{line}`"))?;
-                Ok(AsyncEvent::SignalWakeup { tid, tick })
+                AsyncEvent::SignalWakeup { tid, tick }
             }
-            other => Err(format!("unknown ASYNC event {other:?} in `{line}`")),
+            other => return Err(format!("unknown ASYNC event {other:?} in `{line}`")),
+        };
+        if it.next().is_some() {
+            return Err(format!("trailing junk in ASYNC line `{line}`"));
         }
+        Ok(event)
     }
 }
 
@@ -180,24 +184,30 @@ impl QueueStream {
         out
     }
 
-    pub(crate) fn from_text(text: &str) -> Result<Self, String> {
-        let mut stream = QueueStream::default();
-        for line in text.lines() {
+    /// Parses the text form. Errors carry the 1-based line they were
+    /// found on.
+    pub(crate) fn from_text(text: &str) -> Result<Self, (Option<usize>, String)> {
+        let mut first = None;
+        let mut ticks = None;
+        for (i, line) in text.lines().enumerate() {
             let line = line.trim();
-            if line.is_empty() {
-                continue;
+            let at = |err: String| (Some(i + 1), err);
+            let (name, rest) = line.split_once(' ').unwrap_or((line, ""));
+            let slot = match name {
+                "" => continue,
+                "first" => &mut first,
+                "ticks" => &mut ticks,
+                _ => return Err(at(format!("unknown QUEUE line `{line}`"))),
+            };
+            if slot.is_some() {
+                return Err(at(format!("duplicate `{name}` line")));
             }
-            if let Some(rest) = line.strip_prefix("first ") {
-                stream.first_tick = rle::decode_u64s(rest)?;
-            } else if let Some(rest) = line.strip_prefix("ticks ") {
-                stream.next_ticks = rle::decode_u64s(rest)?;
-            } else if line == "first" || line == "ticks" {
-                // Empty stream lines are fine.
-            } else {
-                return Err(format!("unknown QUEUE line `{line}`"));
-            }
+            *slot = Some(rle::decode_u64s(rest).map_err(at)?);
         }
-        Ok(stream)
+        Ok(QueueStream {
+            first_tick: first.unwrap_or_default(),
+            next_ticks: ticks.unwrap_or_default(),
+        })
     }
 
     /// Builds the stream from an explicit schedule: `(tid, tick)` pairs
@@ -272,6 +282,8 @@ pub(crate) fn parse_syscalls(text: &str) -> Result<Vec<SyscallRecord>, DemoLoadE
 fn parse_syscalls_inner(text: &str, last_line: &mut usize) -> Result<Vec<SyscallRecord>, String> {
     let mut out: Vec<SyscallRecord> = Vec::new();
     let mut expected_bufs = 0usize;
+    // A record short of its buffers is reported at its `syscall` line.
+    let mut record_line = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -280,10 +292,12 @@ fn parse_syscalls_inner(text: &str, last_line: &mut usize) -> Result<Vec<Syscall
         *last_line = lineno + 1;
         if let Some(rest) = line.strip_prefix("syscall ") {
             if expected_bufs != 0 {
+                *last_line = record_line;
                 return Err(format!(
                     "syscall record missing {expected_bufs} buffer line(s) before `{line}`"
                 ));
             }
+            record_line = lineno + 1;
             let mut it = rest.split_whitespace();
             let mut next = |what: &str| {
                 it.next()
@@ -314,6 +328,9 @@ fn parse_syscalls_inner(text: &str, last_line: &mut usize) -> Result<Vec<Syscall
             expected_bufs = field(next("nbufs")?, "nbufs=")?
                 .parse()
                 .map_err(|_| format!("bad nbufs in `{line}`"))?;
+            if it.next().is_some() {
+                return Err(format!("trailing junk in `{line}`"));
+            }
             out.push(SyscallRecord {
                 seq,
                 tid,
@@ -346,6 +363,7 @@ fn parse_syscalls_inner(text: &str, last_line: &mut usize) -> Result<Vec<Syscall
         }
     }
     if expected_bufs != 0 {
+        *last_line = record_line;
         return Err(format!(
             "final syscall record missing {expected_bufs} buffer line(s)"
         ));
@@ -528,24 +546,17 @@ mod tests {
             Err(DemoLoadError::Malformed { line, .. }) => assert_eq!(line, Some(2)),
             other => panic!("expected malformed line 2, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn syscall_encoded_size_is_positive_and_tracks_payload() {
-        let small = SyscallRecord {
-            seq: 0,
-            tid: 0,
-            tick: 0,
-            kind: "read".into(),
-            ret: 0,
-            errno: 0,
-            bufs: vec![],
-        };
-        let big = SyscallRecord {
-            bufs: vec![(0..200).collect()],
-            ..small.clone()
-        };
-        assert!(small.encoded_size() > 0);
-        assert!(big.encoded_size() > small.encoded_size());
+        // Missing buffers are reported at the record short of them, not
+        // at the line where that shows.
+        let text = "syscall 0 1 2 recv ret=0 errno=0 nbufs=0\n\
+                    syscall 1 1 3 recv ret=0 errno=0 nbufs=2\nbuf 1 010101\n\
+                    syscall 2 1 4 recv ret=0 errno=0 nbufs=0\n";
+        match parse_syscalls(text) {
+            Err(DemoLoadError::Malformed { line, err, .. }) => {
+                assert_eq!(line, Some(2), "{err}");
+                assert!(err.contains("missing 1 buffer line(s)"), "{err}");
+            }
+            other => panic!("expected malformed line 2, got {other:?}"),
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Property tests: every codec and stream roundtrips on arbitrary input,
-//! and the offline demo linter (`srr-analysis`) accepts exactly the
-//! well-formed serializations.
+//! and loading accepts exactly the demos [`Demo::validate`] accepts.
 
 use proptest::prelude::*;
 use srr_replay::rle;
-use srr_replay::{AsyncEvent, Demo, DemoHeader, QueueStream, SignalEvent, SyscallRecord};
+use srr_replay::{
+    AsyncEvent, Demo, DemoHeader, DemoLoadError, QueueStream, SignalEvent, SyscallRecord,
+};
 
 /// A demo whose streams are derived from an actual schedule — the QUEUE
 /// linked-list invariants (exact cover of ticks `1..=T`, forward-pointing
@@ -184,23 +185,33 @@ proptest! {
             errno: 11,
             bufs,
         }];
+        // Arbitrary streams are mostly not replayable: loading must agree
+        // with validation either way.
+        let violations = demo.validate();
         let map = demo.to_string_map();
-        prop_assert_eq!(Demo::from_string_map(&map).unwrap(), demo);
+        match Demo::from_string_map(&map) {
+            Ok(back) => {
+                prop_assert!(violations.is_empty(), "loaded despite {violations:?}");
+                prop_assert_eq!(back, demo);
+            }
+            Err(DemoLoadError::Invalid(v)) => prop_assert_eq!(v, violations),
+            Err(e) => panic!("syntax error on a serialized demo: {e}"),
+        }
     }
 
-    /// Any demo shaped like a real recording serializes to files the
-    /// offline linter accepts without diagnostics.
+    /// Any demo shaped like a real recording validates clean and
+    /// serializes to files that load back equal.
     #[test]
-    fn schedule_shaped_demos_lint_clean(demo in valid_demo()) {
-        let map = demo.to_string_map();
-        let diags = srr_analysis::lint_demo_map(&map);
-        prop_assert!(diags.is_empty(), "clean demo flagged: {diags:?}\nmap: {map:?}");
+    fn schedule_shaped_demos_validate_clean(demo in valid_demo()) {
+        let violations = demo.validate();
+        prop_assert!(violations.is_empty(), "clean demo flagged: {violations:?}");
+        prop_assert_eq!(Demo::from_string_map(&demo.to_string_map()).unwrap(), demo);
     }
 
     /// Corrupting any digit in any *stream* file (every digit there is
-    /// part of a number or an RLE/hex payload) is caught: the linter
-    /// objects, or parsing fails — a corruption can never slip through
-    /// both and silently change the demo.
+    /// part of a number or an RLE/hex payload) is caught: parsing or
+    /// validation fails — a corruption can never slip through and
+    /// silently change the demo.
     #[test]
     fn digit_corruption_is_caught(demo in valid_demo(), file_pick in any::<u32>(), pos_pick in any::<u32>()) {
         let mut map = demo.to_string_map();
@@ -223,21 +234,15 @@ proptest! {
         bytes[pos] = b'x';
         map.insert(name.clone(), String::from_utf8(bytes).unwrap());
 
-        let diags = srr_analysis::lint_demo_map(&map);
         let reparsed = Demo::from_string_map(&map);
         prop_assert!(
-            !diags.is_empty() || reparsed.is_err(),
+            reparsed.is_err(),
             "corrupting {name} byte {pos} slipped through: parsed to {reparsed:?}"
         );
-        // And when the *parser* still accepts the corrupted text, the
-        // linter must be the one that objected.
-        if reparsed.is_ok() {
-            prop_assert!(!diags.is_empty());
-        }
     }
 
     /// Deleting a buffer line from SYSCALL leaves a record short of its
-    /// declared `nbufs` — the linter must catch the truncation.
+    /// declared `nbufs` — the loader must catch the truncation.
     #[test]
     fn missing_syscall_buffer_is_caught(demo in valid_demo(), pick in any::<u32>()) {
         let map = demo.to_string_map();
@@ -258,8 +263,11 @@ proptest! {
             .collect();
         let mut map = map.clone();
         map.insert("SYSCALL".to_owned(), corrupted);
-        let diags = srr_analysis::lint_demo_map(&map);
-        prop_assert!(!diags.is_empty(), "missing buf line not caught");
+        let file = match Demo::from_string_map(&map) {
+            Err(DemoLoadError::Malformed { file, .. }) => file,
+            other => panic!("missing buf line not caught: {other:?}"),
+        };
+        prop_assert_eq!(file, "SYSCALL");
     }
 }
 

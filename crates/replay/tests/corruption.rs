@@ -18,15 +18,25 @@ use srr_replay::{
 
 /// A demo exercising every stream and every payload encoder: RLE-friendly
 /// and RLE-hostile queue runs, interned and distinct syscall kinds,
-/// compressible and incompressible buffers.
+/// compressible and incompressible buffers. Every stream is valid, so a
+/// load that fails is the corruption's doing.
 fn full_demo() -> Demo {
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 40398]));
-    demo.queue = QueueStream {
-        first_tick: vec![1, 2, 9],
-        next_ticks: (0..200)
-            .map(|i| if i % 7 == 0 { 0 } else { i + 3 })
-            .collect(),
-    };
+    // 200 ticks over 3 threads: round-robin stretches (RLE-hostile
+    // next-tick lists) alternate with one thread running 20 ticks in a
+    // row (`k+1` runs the RLE collapses).
+    let order: Vec<(u32, u64)> = (1..=200u64)
+        .map(|tick| {
+            let tid = match tick {
+                1..=8 => (tick - 1) % 2,
+                9 => 2,
+                _ if (tick / 20) % 2 == 0 => (tick / 40) % 3,
+                _ => tick % 3,
+            };
+            (tid as u32, tick)
+        })
+        .collect();
+    demo.queue = QueueStream::from_order(&order, 3);
     demo.signals = (0..10)
         .map(|i| SignalEvent {
             tid: i % 3,
@@ -37,7 +47,7 @@ fn full_demo() -> Demo {
     demo.syscalls = (0..25)
         .map(|i| SyscallRecord {
             seq: i,
-            tid: (i % 4) as u32,
+            tid: (i % 3) as u32,
             tick: i * 3 + 2,
             kind: if i % 2 == 0 { "recvmsg" } else { "poll" }.to_owned(),
             ret: if i % 5 == 0 { -1 } else { i as i64 },
@@ -50,6 +60,7 @@ fn full_demo() -> Demo {
         AsyncEvent::SignalWakeup { tid: 2, tick: 19 },
     ];
     demo.alloc = (0..64).map(|i| 0x1000 + i * 16).collect();
+    assert!(demo.validate().is_empty(), "{:?}", demo.validate());
     demo
 }
 
