@@ -14,7 +14,11 @@
 #  4. Load-time validation: a text demo with a broken QUEUE invariant
 #     makes `lint-demo` exit 2 naming QUEUE and `replay` exit 1 with the
 #     typed error, before any run starts.
-#  5. Throughput/size gate: the codec bench asserts binary loads ≥ 1.5×
+#  5. Exact desync diagnostics: an httpd text demo whose SYSCALL stream
+#     keeps only its first 80% of records is still well-formed, and
+#     `srr trace --ring 8` blames the end of the replay (`vs replayed
+#     <end>`), not a tick the bounded rings forgot.
+#  6. Throughput/size gate: the codec bench asserts binary loads ≥ 1.5×
 #     faster than text and the deduplicating store shrinks the hazard
 #     corpus ≥ 40%; the deterministic byte-count rows are then diffed
 #     against bench/baseline.json.
@@ -39,8 +43,9 @@ section "srr demo convert round trip"
 DEMO_DIR="$(mktemp -d)"
 TEXT_DIR="$(mktemp -d)"
 BAD_DIR="$(mktemp -d)"
+SHORT_DIR="$(mktemp -d)"
 # lib.sh owns the EXIT trap for tmpfile(); extend it for the demo dirs.
-trap 'rm -rf "$DEMO_DIR" "$TEXT_DIR" "$BAD_DIR"; _ci_cleanup' EXIT
+trap 'rm -rf "$DEMO_DIR" "$TEXT_DIR" "$BAD_DIR" "$SHORT_DIR"; _ci_cleanup' EXIT
 srr record client --tool queue --seed 5 --out "$DEMO_DIR" >/dev/null
 HASHES="$(tmpfile)"
 srr demo hash --demo "$DEMO_DIR" >"$HASHES"
@@ -71,6 +76,27 @@ srr replay client --demo "$BAD_DIR" >"$OUT" 2>"$ERR" || status=$?
 grep -q '^srr: loading demo: invalid demo: QUEUE entry ' "$ERR" ||
   fail "replay did not fail with the typed load error: $(cat "$ERR")"
 [ ! -s "$OUT" ] || fail "replay started despite the invalid demo: $(cat "$OUT")"
+
+section "short SYSCALL stream: exact desync diagnostics"
+HTTPD_DIR="$SHORT_DIR/bin"
+SHORT_TEXT="$SHORT_DIR/text"
+srr record httpd --tool queue --seed 3 --out "$HTTPD_DIR" >/dev/null
+srr demo convert --demo "$HTTPD_DIR" --to text --out "$SHORT_TEXT" 2>/dev/null
+# Keep the first 80% of the SYSCALL records (each `syscall <index> ...`
+# line plus its `buf` lines): still a valid demo, but replay runs out.
+RECORDS="$(grep -c '^syscall ' "$SHORT_TEXT/SYSCALL")"
+KEEP=$((RECORDS * 4 / 5))
+awk -v keep="$KEEP" '$1 == "syscall" && $2 >= keep { exit } { print }' \
+  "$SHORT_TEXT/SYSCALL" >"$SHORT_DIR/SYSCALL"
+mv "$SHORT_DIR/SYSCALL" "$SHORT_TEXT/SYSCALL"
+srr lint-demo --demo "$SHORT_TEXT" >/dev/null ||
+  fail "a SYSCALL stream cut at a record boundary must lint clean"
+TRACE_OUT="$(tmpfile)"
+srr trace httpd --demo "$SHORT_TEXT" --ring 8 --out "$SHORT_DIR/trace.json" >"$TRACE_OUT"
+grep -q 'syscall-underrun' "$TRACE_OUT" ||
+  fail "short SYSCALL replay did not report syscall-underrun: $(tail -5 "$TRACE_OUT")"
+grep -q 'vs replayed <end>' "$TRACE_OUT" ||
+  fail "ring-size-dependent diagnosis: $(grep 'first schedule divergence' "$TRACE_OUT")"
 
 section "bench codec (--quick) + baseline gate"
 cargo bench -p srr-bench --bench codec -- --quick

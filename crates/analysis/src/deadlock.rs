@@ -15,8 +15,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::events::{SyncEvent, SyncTrace};
 use crate::findings::{Finding, FindingKind};
+use srr_obs::{SyncEvent, SyncTrace};
 
 /// One thread's contribution to a lock-order edge.
 #[derive(Clone, Copy, Debug)]
@@ -204,7 +204,7 @@ fn assign_distinct(witness_sets: &[&[EdgeWitness]], chosen: &mut Vec<EdgeWitness
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::SyncTraceBuilder;
+    use srr_obs::SyncTraceBuilder;
 
     fn acq(tid: u32, mutex: u32, tick: u64) -> [SyncEvent; 2] {
         [

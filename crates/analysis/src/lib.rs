@@ -1,7 +1,7 @@
 //! Offline analysis over sparse-record executions (`srr-analysis`).
 //!
-//! The runtime can record a **structured sync-event trace**
-//! ([`SyncTrace`], recorded behind `Config::with_sync_trace`) — every
+//! The runtime can record a run's **sync trace** ([`SyncTrace`], defined
+//! in `srr-obs` and recorded behind `Config::with_sync_trace`) — every
 //! mutex request/acquire/release, condvar wait/notify, atomic access
 //! (with the observed writer) and instrumented plain access, stamped with
 //! the scheduler tick. Two analyses run over it:
@@ -15,8 +15,10 @@
 //!    cross-thread loads feeding visible-op decisions (the §6 replay
 //!    hazard).
 //!
-//! [`analyze`] bundles both; the CLI exposes them as `srr analyze
-//! <workload>`. Demo directories are not this crate's business: their
+//! [`analyze`] bundles both. Nothing runs them at the end of an
+//! execution: a consumer that wants findings (`srr analyze <workload>`,
+//! the Goodlock cross-check of `srr predict --plan`, the hazard tests)
+//! calls [`analyze`] on `ExecReport::sync_trace` itself. Demo directories are not this crate's business: their
 //! invariants live in `srr_replay::Demo::validate`, which every demo load
 //! runs and `srr lint-demo` reports.
 
@@ -24,14 +26,13 @@
 #![warn(missing_docs)]
 
 mod deadlock;
-mod events;
 mod findings;
 mod lints;
 
 pub use deadlock::predict_deadlocks;
-pub use events::{SyncEvent, SyncTrace, SyncTraceBuilder};
 pub use findings::{Finding, FindingKind, Severity, SourceSpan};
 pub use lints::{condvar_no_recheck, misuse_lints, mixed_atomic_plain, relaxed_load_decision};
+use srr_obs::SyncTrace;
 
 /// Runs every trace-based analysis pass: deadlock prediction first, then
 /// the misuse lints. Findings keep pass order.
@@ -45,6 +46,7 @@ pub fn analyze(trace: &SyncTrace) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srr_obs::{SyncEvent, SyncTraceBuilder};
 
     #[test]
     fn analyze_runs_all_passes() {

@@ -18,8 +18,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::events::{SyncEvent, SyncTrace};
 use crate::findings::{Finding, FindingKind};
+use srr_obs::{SyncEvent, SyncTrace};
 
 /// How many same-thread trace events after a relaxed load may separate
 /// it from the visible operation it is assumed to guard.
@@ -183,7 +183,7 @@ pub fn relaxed_load_decision(trace: &SyncTrace) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::SyncTraceBuilder;
+    use srr_obs::SyncTraceBuilder;
 
     fn trace_with_locs(labels: &[&str], events: Vec<SyncEvent>) -> SyncTrace {
         let mut b = SyncTraceBuilder::new();

@@ -910,6 +910,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
             let report = Execution::new(config.with_access_trace())
                 .setup(setup)
                 .run(w.program);
+            let findings = srr_analysis::analyze(&report.sync_trace);
             let doc = Json::Obj(vec![
                 ("workload".to_owned(), Json::Str(w.name.to_owned())),
                 ("tool".to_owned(), Json::Str(tool.label().to_owned())),
@@ -922,8 +923,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                 (
                     "findings".to_owned(),
                     Json::Arr(
-                        report
-                            .analysis
+                        findings
                             .iter()
                             .map(|f| {
                                 Json::Obj(vec![
@@ -939,14 +939,14 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                 print_report(&report);
                 println!("--- analysis --");
                 println!("sync events:  {}", report.sync_trace.events.len());
-                if report.analysis.is_empty() {
+                if findings.is_empty() {
                     println!("no findings");
                 }
-                for f in &report.analysis {
+                for f in &findings {
                     println!("[{}] {}", f.kind.name(), f.message);
                 }
             }
-            Ok(findings_exit(report.analysis.len(), "finding"))
+            Ok(findings_exit(findings.len(), "finding"))
         }
         "predict" => {
             let name = args.positional.first().ok_or("predict needs a workload")?;
@@ -992,13 +992,11 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
             let static_only: Vec<Vec<String>> = plan_report
                 .as_ref()
                 .map(|p| {
-                    let dynamic: Vec<BTreeSet<String>> = run
-                        .record
-                        .analysis
-                        .iter()
-                        .filter(|f| f.kind == srr_analysis::FindingKind::PotentialDeadlock)
-                        .map(|f| f.labels.iter().cloned().collect())
-                        .collect();
+                    let dynamic: Vec<BTreeSet<String>> =
+                        srr_analysis::predict_deadlocks(&run.record.sync_trace)
+                            .into_iter()
+                            .map(|f| f.labels.into_iter().collect())
+                            .collect();
                     p.lock_cycles
                         .iter()
                         .filter(|c| {
@@ -1318,7 +1316,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                     config = config.with_sparse(parse_sparse(sp)?);
                 }
                 println!("tracing `{}` replaying {}", w.name, dir.display());
-                Execution::new(config.with_trace(spec).with_schedule_trace())
+                Execution::new(config.with_trace(spec).with_sync_trace())
                     .setup(setup)
                     .replay(&demo, w.program)
             } else {
@@ -1329,7 +1327,7 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
                     ));
                 }
                 println!("tracing `{}` under {tool}", w.name);
-                Execution::new(config.with_trace(spec).with_schedule_trace())
+                Execution::new(config.with_trace(spec).with_sync_trace())
                     .setup(setup)
                     .run(w.program)
             };
@@ -1384,21 +1382,16 @@ fn run_command(argv: &[String]) -> Result<u8, String> {
             }
             let spec = TraceSpec::new().with_ring_capacity(args.ring.unwrap_or(256));
             let setup = w.setup;
-            let report = Execution::new(
-                config
-                    .with_trace(spec)
-                    .with_schedule_trace()
-                    .with_sync_trace(),
-            )
-            .setup(setup)
-            .replay(&demo, w.program);
+            let report = Execution::new(config.with_trace(spec).with_sync_trace())
+                .setup(setup)
+                .replay(&demo, w.program);
             if let Some(diag) = &report.obs.desync {
                 eprintln!(
                     "warning: replay desynced — profile covers the ticks before divergence\n{}",
                     diag.render()
                 );
             }
-            let prof = srr_obs::profile(&report.profile_input());
+            let prof = srr_obs::profile(&report.sync_trace);
             if let Some(folded) = &args.folded {
                 write_output(folded, &prof.folded_stacks())?;
                 eprintln!("folded stacks: {}", folded.display());
@@ -2401,7 +2394,7 @@ mod tests {
             Tool::QueueRec
                 .config(demo.header.seeds)
                 .with_trace(TraceSpec::new().with_ring_capacity(128))
-                .with_schedule_trace(),
+                .with_sync_trace(),
         )
         .with_vos(ptrmap::aslr_world(999))
         .replay(&demo, ptrmap::ptrmap(ptrmap::PtrMapParams::default()));

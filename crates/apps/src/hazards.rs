@@ -324,25 +324,29 @@ pub fn raw_spawn() -> impl FnOnce() + Send + 'static {
 mod tests {
     use super::*;
     use crate::harness::Tool;
-    use tsan11rec::{soft_desync, soft_desync_report, Execution, FindingKind, Outcome};
+    use srr_analysis::{analyze, Finding, FindingKind};
+    use tsan11rec::{soft_desync, soft_desync_report, Execution, Outcome};
 
     fn analyzed(program: impl FnOnce() + Send + 'static) -> tsan11rec::ExecReport {
         Execution::new(Tool::Queue.config([7, 11]).with_access_trace()).run(program)
+    }
+
+    fn findings_of(report: &tsan11rec::ExecReport, kind: FindingKind) -> Vec<Finding> {
+        analyze(&report.sync_trace)
+            .into_iter()
+            .filter(|f| f.kind == kind)
+            .collect()
     }
 
     #[test]
     fn serialized_abba_completes_but_is_flagged() {
         let report = analyzed(ab_ba_locks(AbBaParams::default()));
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
-        let dl: Vec<_> = report
-            .analysis
-            .iter()
-            .filter(|f| f.kind == FindingKind::PotentialDeadlock)
-            .collect();
+        let dl = findings_of(&report, FindingKind::PotentialDeadlock);
         assert!(
             !dl.is_empty(),
             "lock-order cycle must be predicted: {:?}",
-            report.analysis
+            analyze(&report.sync_trace)
         );
         assert!(
             dl[0].labels.iter().any(|l| l.contains("lock-a")),
@@ -362,15 +366,11 @@ mod tests {
             force_deadlock: true,
         }));
         assert_eq!(report.outcome, Outcome::Deadlock);
-        let dl: Vec<_> = report
-            .analysis
-            .iter()
-            .filter(|f| f.kind == FindingKind::PotentialDeadlock)
-            .collect();
+        let dl = findings_of(&report, FindingKind::PotentialDeadlock);
         assert!(
             !dl.is_empty(),
             "deadlocked run still yields the cycle: {:?}",
-            report.analysis
+            analyze(&report.sync_trace)
         );
     }
 
@@ -379,12 +379,9 @@ mod tests {
         let report = analyzed(mixed_counter());
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
         assert!(
-            report
-                .analysis
-                .iter()
-                .any(|f| f.kind == FindingKind::MixedAtomicPlain),
+            !findings_of(&report, FindingKind::MixedAtomicPlain).is_empty(),
             "{:?}",
-            report.analysis
+            analyze(&report.sync_trace)
         );
     }
 
@@ -393,12 +390,9 @@ mod tests {
         let report = analyzed(cond_no_recheck());
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
         assert!(
-            report
-                .analysis
-                .iter()
-                .any(|f| f.kind == FindingKind::CondvarNoRecheck),
+            !findings_of(&report, FindingKind::CondvarNoRecheck).is_empty(),
             "{:?}",
-            report.analysis
+            analyze(&report.sync_trace)
         );
     }
 
@@ -407,19 +401,16 @@ mod tests {
         let report = analyzed(relaxed_guard());
         assert!(report.outcome.is_ok(), "{:?}", report.outcome);
         assert!(
-            report
-                .analysis
-                .iter()
-                .any(|f| f.kind == FindingKind::RelaxedLoadDecision),
+            !findings_of(&report, FindingKind::RelaxedLoadDecision).is_empty(),
             "{:?}",
-            report.analysis
+            analyze(&report.sync_trace)
         );
     }
 
     #[test]
     fn analysis_is_empty_without_sync_trace() {
         let report = Execution::new(Tool::Queue.config([7, 11])).run(mixed_counter());
-        assert!(report.analysis.is_empty());
+        assert!(analyze(&report.sync_trace).is_empty());
         assert!(report.sync_trace.events.is_empty());
     }
 
@@ -437,7 +428,7 @@ mod tests {
                 .sync_trace
                 .events
                 .iter()
-                .any(|e| matches!(e, srr_analysis::SyncEvent::PlainAccess { .. })),
+                .any(|e| matches!(e, srr_obs::SyncEvent::PlainAccess { .. })),
             "access trace must record the plain writes"
         );
     }
@@ -453,7 +444,7 @@ mod tests {
         r.sync_trace
             .events
             .iter()
-            .filter(|e| matches!(e, srr_analysis::SyncEvent::PlainAccess { .. }))
+            .filter(|e| matches!(e, srr_obs::SyncEvent::PlainAccess { .. }))
             .count()
     }
 

@@ -113,7 +113,7 @@ pub fn config(strategy: Strategy, seeds: [u64; 2]) -> Config {
     Config::new(Mode::Tsan11Rec(strategy))
         .with_seeds(seeds)
         .without_liveness()
-        .with_schedule_trace()
+        .with_sync_trace()
 }
 
 pub fn run_once(strategy: Strategy, seeds: [u64; 2]) -> ExecReport {

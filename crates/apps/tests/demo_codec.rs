@@ -58,9 +58,7 @@ fn config_for(tool: Tool) -> Config {
     // Liveness reschedules arrive on wall-clock time and would inject
     // timing-dependent ASYNC events into the recording; off for golden
     // byte-identity, exactly as the sched determinism suite does.
-    tool.config(seeds())
-        .without_liveness()
-        .with_schedule_trace()
+    tool.config(seeds()).without_liveness().with_sync_trace()
 }
 
 fn no_setup(_: &Vos) {}
@@ -165,7 +163,7 @@ fn replay_fixture(case: &Case, demo: &Demo) -> ExecReport {
         .tool
         .config(demo.header.seeds)
         .without_liveness()
-        .with_schedule_trace();
+        .with_sync_trace();
     Execution::new(cfg)
         .setup(case.setup)
         .replay(demo, case.program)

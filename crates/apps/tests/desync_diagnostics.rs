@@ -5,13 +5,19 @@
 //! The loader rejects such a demo before any run, so these tests replay
 //! the corrupted demo from memory: the runtime diagnostics stay the last
 //! line of defence for demos that are valid on their own but still
-//! diverge.
+//! diverge. A demo with its SYSCALL stream cut short is such a demo, and
+//! its diagnostics must not depend on how much the bounded event rings
+//! remember.
 
 mod common;
 
+use std::path::PathBuf;
+
 use common::{bounded_buffer, config, fixture_dir};
+use srr_apps::harness::Tool;
+use srr_apps::httpd;
 use srr_replay::{DemoLoadError, StreamId};
-use tsan11rec::{Demo, Execution, Strategy, TraceSpec};
+use tsan11rec::{Config, Demo, Execution, Mode, Strategy, TraceSpec};
 
 /// Truncates the fixture's QUEUE stream to `keep` entries, checks that
 /// the on-disk round trip now rejects it, and replays it from memory.
@@ -113,10 +119,72 @@ fn diagnostics_skip_divergence_when_tracing_off() {
     let dir = fixture_dir("queue");
     let mut demo = Demo::load_dir(&dir).expect("fixture");
     demo.queue.next_ticks.truncate(M);
-    let rep = Execution::new(config(Strategy::Queue, [11, 13])).replay(&demo, bounded_buffer);
+    let untraced = Config::new(Mode::Tsan11Rec(Strategy::Queue))
+        .with_seeds([11, 13])
+        .without_liveness();
+    let rep = Execution::new(untraced).replay(&demo, bounded_buffer);
     let hd = rep.desync().expect("hard desync");
     assert_eq!((hd.tick, hd.offset), (M as u64 + 1, M as u64));
     let diag = rep.obs.desync.as_ref().expect("diagnostics built");
     assert_eq!(diag.first_divergence, None, "no replayed schedule to diff");
     assert_eq!(diag.thread, None);
+}
+
+/// Replays the committed httpd fixture with only the first 80% of its
+/// SYSCALL records, at the sync trace level, with `ring` events retained
+/// per thread. The cut demo is still valid; replay runs out of recorded
+/// syscalls partway through.
+fn replay_httpd_with_short_syscalls(ring: usize) -> (tsan11rec::ExecReport, Vec<(u32, u64)>) {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/codec/httpd");
+    let mut demo = Demo::load_dir(&dir).expect("httpd fixture");
+    let keep = demo.syscalls.len() * 4 / 5;
+    demo.syscalls.truncate(keep);
+    assert!(
+        demo.validate().is_empty(),
+        "a short SYSCALL stream is valid"
+    );
+    let cfg = Tool::QueueRec
+        .config(demo.header.seeds)
+        .without_liveness()
+        .with_trace(TraceSpec::new().with_ring_capacity(ring))
+        .with_sync_trace();
+    let params = httpd::HttpdParams::default();
+    let rep = Execution::new(cfg)
+        .setup(move |vos| (httpd::world(params))(vos))
+        .replay(&demo, httpd::server(params));
+    (rep, demo.queue.schedule_order())
+}
+
+#[test]
+fn short_syscall_stream_diagnosis_does_not_depend_on_ring_size() {
+    let (small, recorded) = replay_httpd_with_short_syscalls(8);
+    let (large, _) = replay_httpd_with_short_syscalls(4096);
+    for rep in [&small, &large] {
+        let hd = rep.desync().expect("short SYSCALL stream must hard-desync");
+        assert_eq!(hd.constraint, "syscall-underrun");
+        assert_eq!(hd.stream, "SYSCALL");
+    }
+    let diag = small.obs.desync.as_ref().expect("diagnostics built");
+    assert!(
+        diag.last_events.iter().any(|t| t.dropped > 0),
+        "the small rings wrapped, so they alone could not give the schedule"
+    );
+    let div = diag
+        .first_divergence
+        .expect("replay stopped short of the recording");
+    let large_diag = large.obs.desync.as_ref().expect("diagnostics built");
+    assert_eq!(
+        Some(div),
+        large_diag.first_divergence,
+        "ring size must not change the diagnosis"
+    );
+    // Replay followed the recording exactly up to the last completed
+    // tick, and diverged only by stopping there.
+    let schedule = &small.sync_trace.schedule;
+    assert_eq!(schedule.as_slice(), &recorded[..schedule.len()]);
+    assert_eq!(div.index, schedule.len(), "first missing tick");
+    assert_eq!(div.recorded, Some(recorded[div.index].0));
+    assert_eq!(div.replayed, None);
+    assert_eq!(diag.thread, schedule.last().map(|&(tid, _)| tid));
+    assert_eq!(small.sync_trace.schedule, large.sync_trace.schedule);
 }

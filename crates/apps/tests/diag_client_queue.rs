@@ -8,7 +8,7 @@ use tsan11rec::Execution;
 fn queue_client_record_replay_traces_match() {
     let params = ClientParams::default();
     let mut config = Tool::QueueRec.config([4, 8]);
-    config = config.with_schedule_trace();
+    config = config.with_sync_trace();
     let (rec_report, demo) = Execution::new(config.clone())
         .setup(world(params))
         .record(client(params));

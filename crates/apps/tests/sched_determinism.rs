@@ -6,8 +6,13 @@
 
 mod common;
 
+use std::path::Path;
+
 use common::{assert_complete, bounded_buffer, config, fixture_dir, run_once};
-use tsan11rec::{soft_desync, Demo, Execution, Strategy};
+use srr_apps::harness::Tool;
+use srr_apps::httpd;
+use tsan11rec::vos::Vos;
+use tsan11rec::{soft_desync, Config, Demo, Execution, Strategy};
 
 const STRATEGIES: [(&str, Strategy); 3] = [
     ("random", Strategy::Random),
@@ -139,6 +144,64 @@ fn queue_stream_identical_to_prechange_fixture() {
             "{name}: same seed must record the pre-change QUEUE stream"
         );
     }
+}
+
+/// The sync trace's schedule is the run's exact record: a queue
+/// recording's `tick_trace()` is its QUEUE stream's order, and replaying
+/// a demo (fresh or committed) reproduces that order entry for entry.
+fn assert_schedule_is_queue_order(
+    name: &str,
+    dir: &Path,
+    config_for: impl Fn([u64; 2]) -> Config,
+    setup: fn(&Vos),
+    program: fn(),
+) {
+    let fixture = Demo::load_dir(dir)
+        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e:?}", dir.display()));
+    let (rec, demo) = Execution::new(config_for(fixture.header.seeds))
+        .setup(setup)
+        .record(program);
+    assert!(rec.outcome.is_ok(), "{name}: {:?}", rec.outcome);
+    assert_eq!(
+        rec.tick_trace(),
+        demo.queue.schedule_order(),
+        "{name}: the recorded schedule is the QUEUE order"
+    );
+    assert_eq!(rec.tick_trace().len() as u64, rec.ticks);
+    for (what, d) in [("fresh", &demo), ("committed", &fixture)] {
+        let rep = Execution::new(config_for(d.header.seeds))
+            .setup(setup)
+            .replay(d, program);
+        assert!(rep.desync().is_none(), "{name} {what}: {:?}", rep.outcome);
+        assert_eq!(
+            rep.tick_trace(),
+            d.queue.schedule_order(),
+            "{name} {what}: replay reproduces the QUEUE order"
+        );
+    }
+}
+
+#[test]
+fn sync_trace_schedule_is_the_queue_order() {
+    assert_schedule_is_queue_order(
+        "sched/queue",
+        &fixture_dir("queue"),
+        |seeds| config(Strategy::Queue, seeds),
+        |_| {},
+        bounded_buffer,
+    );
+    assert_schedule_is_queue_order(
+        "codec/httpd",
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/codec/httpd"),
+        |seeds| {
+            Tool::QueueRec
+                .config(seeds)
+                .without_liveness()
+                .with_sync_trace()
+        },
+        |vos| (httpd::world(httpd::HttpdParams::default()))(vos),
+        || (httpd::server(httpd::HttpdParams::default()))(),
+    );
 }
 
 /// Regenerates the committed fixtures. Run explicitly when the demo

@@ -9,8 +9,8 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering as StdOrd};
 
-use srr_analysis::SyncEvent;
 use srr_memmodel::MemOrder;
+use srr_obs::SyncEvent;
 
 use crate::ids::AtomicId;
 use crate::runtime::{current_rt, with_ctx};

@@ -278,6 +278,21 @@ impl AccessPlan {
     }
 }
 
+/// How much of a run's logical history goes into `ExecReport::sync_trace`
+/// (controlled modes only). Levels are ordered: each records everything
+/// the one below does.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TraceLevel {
+    /// No trace (the default): the hot path pays one `Option` check.
+    #[default]
+    Off,
+    /// The completed-tick schedule plus every synchronisation event.
+    Sync,
+    /// [`TraceLevel::Sync`] plus plain `Shared` accesses (predictive
+    /// race detection needs them; they dominate trace volume).
+    Access,
+}
+
 /// Record/replay selection for an execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum RecordMode {
@@ -311,13 +326,9 @@ pub struct Config {
     /// Record the allocator's address stream (comprehensive, rr-style
     /// recorders only — sparse tsan11rec deliberately does not, §5.5).
     pub record_alloc: bool,
-    /// Collect the full `(tid, tick)` schedule trace into the report
-    /// (diagnostics; off by default).
-    pub trace_schedule: bool,
-    /// Collect the structured synchronisation-event trace and run the
-    /// offline analysis passes (`srr-analysis`) over it at the end of the
-    /// run. Controlled modes only; off by default.
-    pub trace_sync: bool,
+    /// What goes into the run's sync trace (schedule, sync events,
+    /// plain accesses). Controlled modes only; off by default.
+    pub trace_level: TraceLevel,
     /// Run the race detector and weak memory model. Disabled by the
     /// plain-rr baseline, which sequentializes and records but performs
     /// no analysis (§5's "rr" rows, as opposed to "tsan11 + rr").
@@ -327,10 +338,6 @@ pub struct Config {
     /// means no collector is even constructed, so the hot path pays only
     /// an `Option` check.
     pub trace: Option<TraceSpec>,
-    /// Also emit plain `Shared` accesses into the sync-event trace
-    /// (needed by predictive race detection; off by default because
-    /// plain accesses dominate trace volume). Requires `trace_sync`.
-    pub trace_access: bool,
     /// Pair-targeted race checking: `(location label, tid A, tid B)`.
     /// When the detector fires on that location between those threads,
     /// `ExecReport::race_target_hit` is set — how witness replays confirm
@@ -341,7 +348,7 @@ pub struct Config {
     /// counters here; `None` (the default) skips registration entirely.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Static sparsification plan (`srr plan`): when set (implies
-    /// `trace_access`), only `Conflict`-classified labels emit
+    /// [`TraceLevel::Access`]), only `Conflict`-classified labels emit
     /// `PlainAccess` trace events — sparse by proof. Unplanned labels
     /// fail open (recorded + counted as plan staleness). Race
     /// detection itself is unaffected; the plan filters the *trace*.
@@ -361,11 +368,9 @@ impl Config {
             history_cap: srr_memmodel::DEFAULT_HISTORY_CAP,
             signal_target: 0,
             record_alloc: false,
-            trace_schedule: false,
-            trace_sync: false,
+            trace_level: TraceLevel::Off,
             detect_races: true,
             trace: None,
-            trace_access: false,
             race_target: None,
             metrics: None,
             access_plan: None,
@@ -414,17 +419,11 @@ impl Config {
         self
     }
 
-    /// Enables schedule tracing (diagnostics).
-    #[must_use]
-    pub fn with_schedule_trace(mut self) -> Self {
-        self.trace_schedule = true;
-        self
-    }
-
-    /// Enables sync-event tracing and post-run analysis.
+    /// Records the run's schedule and sync events (at least
+    /// [`TraceLevel::Sync`]).
     #[must_use]
     pub fn with_sync_trace(mut self) -> Self {
-        self.trace_sync = true;
+        self.trace_level = self.trace_level.max(TraceLevel::Sync);
         self
     }
 
@@ -445,13 +444,12 @@ impl Config {
         self
     }
 
-    /// Also records plain `Shared` accesses into the sync-event trace
-    /// (implies [`Config::with_sync_trace`]). Predictive race detection
-    /// needs the access stream; the misuse lints benefit from it too.
+    /// Also records plain `Shared` accesses into the sync trace
+    /// ([`TraceLevel::Access`]). Predictive race detection needs the
+    /// access stream; the misuse lints benefit from it too.
     #[must_use]
     pub fn with_access_trace(mut self) -> Self {
-        self.trace_sync = true;
-        self.trace_access = true;
+        self.trace_level = TraceLevel::Access;
         self
     }
 
@@ -478,10 +476,8 @@ impl Config {
     /// has never seen fail open (recorded, flagged as plan staleness).
     #[must_use]
     pub fn with_access_plan(mut self, plan: AccessPlan) -> Self {
-        self.trace_sync = true;
-        self.trace_access = true;
         self.access_plan = Some(Arc::new(plan));
-        self
+        self.with_access_trace()
     }
 }
 
@@ -584,8 +580,7 @@ mod tests {
     fn with_access_plan_implies_access_trace() {
         let c = Config::new(Mode::Tsan11Rec(Strategy::Queue))
             .with_access_plan(AccessPlan::new(["cell".to_owned()], []));
-        assert!(c.trace_sync);
-        assert!(c.trace_access);
+        assert_eq!(c.trace_level, TraceLevel::Access);
         let plan = c.access_plan.as_ref().expect("plan armed");
         assert_eq!(plan.decide("cell"), PlanDecision::Record);
     }
@@ -608,16 +603,48 @@ mod tests {
 
     #[test]
     fn access_trace_implies_sync_trace() {
-        let c = Config::new(Mode::Tsan11Rec(Strategy::Queue)).with_access_trace();
-        assert!(c.trace_sync);
-        assert!(c.trace_access);
-        assert!(
-            !Config::new(Mode::Tsan11Rec(Strategy::Queue))
-                .with_sync_trace()
-                .trace_access,
+        let base = Config::new(Mode::Tsan11Rec(Strategy::Queue))
+            .with_seeds([1, 2])
+            .without_liveness();
+        assert_eq!(
+            base.trace_level,
+            TraceLevel::Off,
+            "tracing is off by default"
+        );
+        let c = base.clone().with_access_trace();
+        assert_eq!(c.trace_level, TraceLevel::Access);
+        assert_eq!(
+            base.clone().with_sync_trace().trace_level,
+            TraceLevel::Sync,
             "sync trace alone leaves plain accesses out"
+        );
+        assert_eq!(
+            c.clone().with_sync_trace().trace_level,
+            TraceLevel::Access,
+            "with_sync_trace never lowers the level"
         );
         let t = c.with_race_target("x", 2, 1);
         assert_eq!(t.race_target, Some(("x".to_owned(), 2, 1)));
+
+        // What each level records: plain accesses only at Access, the
+        // schedule and sync events from Sync up, nothing at Off.
+        let program = || {
+            let m = crate::Mutex::new(());
+            let x = crate::Shared::new("x", 0u32);
+            drop(m.lock());
+            x.write(1);
+        };
+        let is_plain = |e: &srr_obs::SyncEvent| matches!(e, srr_obs::SyncEvent::PlainAccess { .. });
+        let access = crate::Execution::new(base.clone().with_access_trace()).run(program);
+        assert!(access.sync_trace.events.iter().any(is_plain));
+        assert_eq!(access.tick_trace().len() as u64, access.ticks);
+        let sync = crate::Execution::new(base.clone().with_sync_trace()).run(program);
+        assert!(!sync.sync_trace.events.is_empty());
+        assert!(!sync.sync_trace.events.iter().any(is_plain));
+        assert_eq!(sync.tick_trace().len() as u64, sync.ticks);
+        let off = crate::Execution::new(base).run(program);
+        assert!(off.ticks > 0);
+        assert!(off.sync_trace.events.is_empty());
+        assert!(off.sync_trace.schedule.is_empty());
     }
 }

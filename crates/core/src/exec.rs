@@ -168,8 +168,6 @@ impl Execution {
 
         let strategy = config.mode.strategy();
         let liveness = config.liveness;
-        let trace_schedule = config.trace_schedule;
-        let trace_sync = config.trace_sync;
         let race_target = config.race_target.clone();
         let metrics = config.metrics.clone();
         let rt = Runtime::new(config, Arc::clone(&vos), seeds);
@@ -177,12 +175,6 @@ impl Execution {
             rt.racedet
                 .lock()
                 .set_target(label.clone(), *a as usize, *b as usize);
-        }
-        if trace_schedule && rt.mode().is_controlled() {
-            rt.sched().enable_trace();
-        }
-        if trace_sync && rt.mode().is_controlled() {
-            rt.enable_sync_trace();
         }
         if let Some(reg) = &metrics {
             if rt.mode().is_controlled() {
@@ -299,12 +291,7 @@ impl Execution {
             None
         };
 
-        let sync_trace = rt.take_sync_trace().unwrap_or_default();
-        let analysis = if sync_trace.events.is_empty() {
-            Vec::new()
-        } else {
-            srr_analysis::analyze(&sync_trace)
-        };
+        let sync_trace = rt.take_sync_trace();
 
         let mut obs_report = rt.obs.as_ref().map(|o| o.finish()).unwrap_or_default();
         // Stream counters describe the demo the run produced or consumed,
@@ -319,8 +306,9 @@ impl Execution {
             .then(|| obs_report.streams.iter().map(|s| s.bytes as usize).sum());
         if let Outcome::HardDesync(hd) = &mut outcome {
             // Diagnose the divergence: the demo's intended schedule vs
-            // the ticks the trace actually saw (empty without tracing —
-            // the report still pinpoints the failing stream entry).
+            // the exact schedule the sync trace saw (none without
+            // tracing — the report still pinpoints the failing stream
+            // entry).
             let recorded = demo.map(|d| d.queue.schedule_order()).unwrap_or_default();
             let diag = DesyncDiagnostics::build(
                 hd.tick,
@@ -328,6 +316,7 @@ impl Execution {
                 &hd.stream,
                 hd.offset,
                 &recorded,
+                sync_trace.as_ref().map(|t| t.schedule.as_slice()),
                 &obs_report,
             );
             hd.context.extend(diag.summary_lines());
@@ -347,14 +336,8 @@ impl Execution {
             console: vos.console(),
             demo_bytes,
             replay_leftover_syscalls: rt.replay_leftover(),
-            schedule_trace: rt
-                .sched
-                .as_ref()
-                .map(|s| s.take_trace())
-                .unwrap_or_default(),
             strace: vos.take_strace(),
-            sync_trace,
-            analysis,
+            sync_trace: sync_trace.unwrap_or_default(),
             sched: rt
                 .sched
                 .as_ref()

@@ -14,15 +14,14 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AOrd};
 use std::sync::Arc;
 
 use parking_lot::Mutex as PlMutex;
-use srr_analysis::{SyncEvent, SyncTrace, SyncTraceBuilder};
 use srr_memmodel::{AtomicCell, Chooser, ScFenceClock, ThreadView};
-use srr_obs::{EventKind, Obs, ObsOp, StreamId, SysKind};
+use srr_obs::{EventKind, Obs, ObsOp, StreamId, SyncEvent, SyncTrace, SyncTraceBuilder, SysKind};
 use srr_racedet::RaceDetector;
 use srr_replay::{HardDesync, SyscallRecord};
 use srr_vclock::VectorClock;
 use srr_vos::{Fd, Vos};
 
-use crate::config::{Config, Mode, RecordMode};
+use crate::config::{Config, Mode, RecordMode, TraceLevel};
 use crate::ids::{AtomicId, CondId, MutexId, Tid};
 use crate::prng::Prng;
 use crate::sched::{FailReason, SchedAbort, Scheduler};
@@ -128,9 +127,10 @@ pub(crate) struct Runtime {
     pub panic_note: PlMutex<Option<String>>,
     /// Free-mode visible-operation counter (controlled modes count ticks).
     pub free_ops: AtomicU32,
-    /// Structured sync-event trace builder (`Config::trace_sync`); `None`
-    /// when tracing is off.
-    pub sync_trace: PlMutex<Option<SyncTraceBuilder>>,
+    /// The run's sync trace (`Config::trace_level`, controlled modes
+    /// only), shared with the scheduler, which appends the schedule.
+    /// `None` when tracing is off.
+    pub sync_trace: Option<Arc<PlMutex<SyncTraceBuilder>>>,
     /// Observability collector (`Config::trace`); `None` when off, so
     /// every hook below is a single `Option` check.
     pub obs: Option<Arc<Obs>>,
@@ -154,6 +154,14 @@ impl Runtime {
         if let (Some(sched), Some(obs)) = (&sched, &obs) {
             sched.enable_obs(Arc::clone(obs));
         }
+        let sync_trace = match &sched {
+            Some(sched) if config.trace_level != TraceLevel::Off => {
+                let trace = Arc::new(PlMutex::new(SyncTraceBuilder::new()));
+                sched.enable_sync_trace(Arc::clone(&trace));
+                Some(trace)
+            }
+            _ => None,
+        };
         let mut racedet = RaceDetector::new();
         racedet.set_reporting(config.report_races);
         Arc::new(Runtime {
@@ -178,7 +186,7 @@ impl Runtime {
             stop_liveness: AtomicBool::new(false),
             panic_note: PlMutex::new(None),
             free_ops: AtomicU32::new(0),
-            sync_trace: PlMutex::new(None),
+            sync_trace,
             obs,
             plan_sites: AtomicU64::new(0),
             plan_filtered: AtomicU64::new(0),
@@ -362,13 +370,8 @@ impl Runtime {
     }
 
     // ------------------------------------------------------------------
-    // Sync-event tracing (srr-analysis input)
+    // Sync tracing (the run's logical record)
     // ------------------------------------------------------------------
-
-    /// Switches sync-event tracing on (start of an execution).
-    pub fn enable_sync_trace(&self) {
-        *self.sync_trace.lock() = Some(SyncTraceBuilder::new());
-    }
 
     /// Current scheduler tick for event stamping (0 when uncontrolled).
     pub fn sync_tick(&self) -> u64 {
@@ -382,30 +385,30 @@ impl Runtime {
     /// current tick; computing it locks scheduler state, so callers must
     /// not hold runtime locks (`mem`, `mutexes`, `conds`) across this.
     pub fn sync_event(&self, make: impl FnOnce(u64) -> SyncEvent) {
-        if self.sync_trace.lock().is_none() {
-            return;
-        }
-        let ev = make(self.sync_tick());
-        if let Some(b) = self.sync_trace.lock().as_mut() {
-            b.push(ev);
+        if let Some(b) = &self.sync_trace {
+            let ev = make(self.sync_tick());
+            b.lock().push(ev);
         }
     }
 
     /// Records `label` for a mutex in the trace's label table.
     pub fn sync_mutex_label(&self, id: MutexId, label: Option<&str>) {
-        if let Some(b) = self.sync_trace.lock().as_mut() {
-            b.set_mutex_label(id.0, label.map(str::to_owned));
+        if let Some(b) = &self.sync_trace {
+            b.lock().set_mutex_label(id.0, label.map(str::to_owned));
         }
     }
 
     /// Interns a location label; `None` when tracing is off.
     pub fn sync_loc(&self, label: &str) -> Option<u32> {
-        self.sync_trace.lock().as_mut().map(|b| b.loc_id(label))
+        self.sync_trace.as_ref().map(|b| b.lock().loc_id(label))
     }
 
-    /// Takes the finished trace (end of an execution).
+    /// Takes the finished trace (end of an execution); `None` when
+    /// tracing was off.
     pub fn take_sync_trace(&self) -> Option<SyncTrace> {
-        self.sync_trace.lock().take().map(SyncTraceBuilder::finish)
+        self.sync_trace
+            .as_ref()
+            .map(|b| std::mem::take(&mut *b.lock()).finish())
     }
 
     /// The weak-memory choice source: the scheduler PRNG in controlled

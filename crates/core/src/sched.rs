@@ -21,13 +21,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
-use srr_obs::{EventKind, Obs, ObsOp, StreamId};
+use srr_obs::{EventKind, Obs, ObsOp, StreamId, SyncTraceBuilder};
 use srr_replay::{AsyncEvent, HardDesync, QueueStream, SignalEvent};
 
 use crate::config::Strategy;
 use crate::ids::{CondId, MutexId, Tid};
 use crate::prng::Prng;
-use crate::report::{SchedCounters, TraceEvent};
+use crate::report::SchedCounters;
 
 /// Why the execution was aborted by the scheduler.
 #[derive(Debug, Clone)]
@@ -180,8 +180,11 @@ struct SchedState {
     /// recorded in QUEUE and enforced from there on replay, so this
     /// stream needs no replay determinism.
     slice_jitter: Prng,
-    /// Optional schedule trace for debugging/diffing runs.
-    trace: Option<Vec<TraceEvent>>,
+    /// The run's sync trace (`Config::trace_level` above `Off`); every
+    /// completed tick is appended to its schedule. `None` when tracing is
+    /// off. The builder's lock is a leaf under the scheduler mutex: the
+    /// runtime never holds it while taking this one.
+    sync_trace: Option<Arc<Mutex<SyncTraceBuilder>>>,
     /// Targeted wakeups issued (one parked thread notified).
     wakeups_issued: u64,
     /// Broadcast wakeups issued (every parked thread notified).
@@ -257,7 +260,7 @@ impl Scheduler {
                 hot: Tid::MAIN,
                 delay_budget,
                 slice_jitter,
-                trace: None,
+                sync_trace: None,
                 wakeups_issued: 0,
                 broadcasts: 0,
                 spurious_wakeups: 0,
@@ -272,9 +275,9 @@ impl Scheduler {
         self.state.lock().record.active = true;
     }
 
-    /// Switches on schedule tracing (diagnostics: every `(tid, tick)`).
-    pub fn enable_trace(&self) {
-        self.state.lock().trace = Some(Vec::new());
+    /// Attaches the run's sync trace, which then records the schedule.
+    pub fn enable_sync_trace(&self, trace: Arc<Mutex<SyncTraceBuilder>>) {
+        self.state.lock().sync_trace = Some(trace);
     }
 
     /// Attaches the structured observability collector.
@@ -292,11 +295,6 @@ impl Scheduler {
             spurious: registry.counter("sched_spurious_wakeups_total"),
             stalls: registry.counter("sched_replay_stalls_total"),
         });
-    }
-
-    /// The collected schedule trace, if tracing was enabled.
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.state.lock().trace.take().unwrap_or_default()
     }
 
     /// Switches on replay from the given streams.
@@ -395,16 +393,6 @@ impl Scheduler {
                 obs.thread_event(tid.0, tick, EventKind::TickBegin);
             }
         }
-        if g.trace.is_some() {
-            let (tick, draws) = (g.tick, g.prng.draws());
-            if let Some(trace) = &mut g.trace {
-                trace.push(TraceEvent::Wait {
-                    tid: tid.0,
-                    tick,
-                    draws,
-                });
-            }
-        }
     }
 
     /// `Tick()` (§3.1): close the critical section and choose the next
@@ -440,15 +428,8 @@ impl Scheduler {
         if g.record.active && g.strategy.needs_queue_stream() {
             g.record.queue_order.push((tid.0, k));
         }
-        if g.trace.is_some() {
-            let draws = g.prng.draws();
-            if let Some(trace) = &mut g.trace {
-                trace.push(TraceEvent::Tick {
-                    tid: tid.0,
-                    tick: k,
-                    draws,
-                });
-            }
+        if let Some(trace) = &g.sync_trace {
+            trace.lock().push_tick(tid.0, k);
         }
 
         // Deferred signal delivery: the signal arrived while this thread

@@ -13,11 +13,11 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering as StdOrd};
 
-use srr_analysis::SyncEvent;
+use srr_obs::SyncEvent;
 use srr_racedet::{AccessKind, LocationId};
 
 use crate::atomic::Scalar;
-use crate::config::PlanDecision;
+use crate::config::{PlanDecision, TraceLevel};
 use crate::runtime::with_ctx;
 
 /// A plain shared variable under race detection.
@@ -99,7 +99,10 @@ impl<T: Scalar> Shared<T> {
             if !ctx.rt.config.detect_races {
                 return;
             }
-            if let Some(trace_loc) = self.trace_loc.filter(|_| ctx.rt.config.trace_access) {
+            if let Some(trace_loc) = self
+                .trace_loc
+                .filter(|_| ctx.rt.config.trace_level == TraceLevel::Access)
+            {
                 // Sparse-by-proof: statically proven sites are dropped
                 // from the trace ring (the race detector below still sees
                 // every access — the plan filters the *recording* only).

@@ -2,7 +2,7 @@
 
 use crate::ids::{CondId, MutexId, Tid};
 use crate::runtime::{current_rt, with_ctx, Runtime};
-use srr_analysis::SyncEvent;
+use srr_obs::SyncEvent;
 use std::sync::Arc;
 
 /// An instrumented mutual-exclusion lock.

@@ -54,7 +54,7 @@ where
         (child, clock)
     })
     .expect("context present");
-    rt.sync_event(|tick| srr_analysis::SyncEvent::ThreadSpawn {
+    rt.sync_event(|tick| srr_obs::SyncEvent::ThreadSpawn {
         tid: tid.0,
         child: child_tid.0,
         tick,
@@ -171,7 +171,7 @@ impl<T> JoinHandle<T> {
                 rt.enter(tid);
                 let done = rt.sched().thread_join(tid, self.target);
                 let target = self.target.0;
-                rt.sync_event(|tick| srr_analysis::SyncEvent::ThreadJoined {
+                rt.sync_event(|tick| srr_obs::SyncEvent::ThreadJoined {
                     tid: tid.0,
                     target,
                     tick,

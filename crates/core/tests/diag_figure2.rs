@@ -62,7 +62,7 @@ fn record_replay_schedules_are_identical() {
         Config::new(Mode::Tsan11Rec(Strategy::Random))
             .with_seeds([21, 42])
             .without_liveness()
-            .with_schedule_trace()
+            .with_sync_trace()
     };
     let vos_cfg = || tsan11rec::vos::VosConfig::deterministic(0x5eed).with_strace();
     let (rec_report, demo) = Execution::new(config())

@@ -74,19 +74,23 @@ fn custom_sparse_set_with_and_without() {
 }
 
 #[test]
-fn tick_trace_filters_wait_markers() {
+fn tick_trace_is_the_complete_schedule() {
     let mut c = Config::new(Mode::Tsan11Rec(Strategy::Queue))
         .with_seeds([1, 2])
         .without_liveness();
-    c = c.with_schedule_trace();
+    c = c.with_sync_trace();
     let report = Execution::new(c).run(|| {
         let a = Atomic::new(0u32);
         a.store(1, MemOrder::SeqCst);
         a.store(2, MemOrder::SeqCst);
     });
-    let raw = report.schedule_trace.len();
     let ticks = report.tick_trace();
-    assert_eq!(raw, ticks.len() * 2, "one Wait() marker per Tick() entry");
+    assert_eq!(ticks, report.sync_trace.schedule);
+    assert_eq!(
+        ticks.len() as u64,
+        report.ticks,
+        "one entry per completed Tick()"
+    );
     assert!(ticks.iter().all(|&(tid, _)| tid & 0x8000_0000 == 0));
     // Tick numbers are consecutive from 1.
     for (i, &(_, tick)) in ticks.iter().enumerate() {

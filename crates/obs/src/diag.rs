@@ -46,8 +46,9 @@ pub fn first_divergence(recorded: &[(u32, u64)], replayed: &[(u32, u64)]) -> Opt
     None
 }
 
-/// A structured desynchronisation report, built from the obs traces and
-/// the recorded schedule when a replay run desynchronises.
+/// A structured desynchronisation report, built from the replayed
+/// schedule, the recorded schedule and the obs rings when a replay run
+/// desynchronises.
 #[derive(Clone, Debug, Default)]
 pub struct DesyncDiagnostics {
     /// The tick at which the desync was raised.
@@ -58,11 +59,11 @@ pub struct DesyncDiagnostics {
     pub stream: String,
     /// Entry offset into that stream at the failure point.
     pub offset: u64,
-    /// The thread active when the desync surfaced, when known.
+    /// The thread that completed the last replayed tick, when known.
     pub thread: Option<u32>,
     /// First divergent position of the recorded-vs-replayed tick diff
-    /// (`None` when replay simply fell off the end of the recording, or
-    /// when tracing was off and no replayed schedule is available).
+    /// (`None` when the replayed schedule matches the recording so far,
+    /// or when tracing was off and no replayed schedule is available).
     pub first_divergence: Option<TickDiff>,
     /// Final `(stream, offset)` cursor positions observed during replay.
     pub stream_cursors: Vec<(String, u64)>,
@@ -72,7 +73,8 @@ pub struct DesyncDiagnostics {
 
 impl DesyncDiagnostics {
     /// Builds diagnostics from the failure point, the recorded schedule
-    /// (from the demo's QUEUE stream), and the obs report of the replay.
+    /// (from the demo's QUEUE stream), the exact replayed schedule
+    /// (`None` when tracing was off), and the obs report of the replay.
     #[must_use]
     pub fn build(
         tick: u64,
@@ -80,10 +82,10 @@ impl DesyncDiagnostics {
         stream: &str,
         offset: u64,
         recorded: &[(u32, u64)],
+        replayed: Option<&[(u32, u64)]>,
         obs: &ObsReport,
     ) -> Self {
-        let replayed = obs.tick_order();
-        let thread = replayed.last().map(|&(tid, _)| tid);
+        let thread = replayed.and_then(|r| r.last()).map(|&(tid, _)| tid);
         let mut cursors: Vec<(String, u64)> = Vec::new();
         for trace in obs.threads.iter().chain(std::iter::once(&obs.scheduler)) {
             for ev in &trace.events {
@@ -107,11 +109,7 @@ impl DesyncDiagnostics {
             thread,
             // With tracing off there is no replayed schedule; an empty
             // diff would blame position 0 rather than admit ignorance.
-            first_divergence: if obs.enabled {
-                first_divergence(recorded, &replayed)
-            } else {
-                None
-            },
+            first_divergence: replayed.and_then(|r| first_divergence(recorded, r)),
             stream_cursors: cursors,
             last_events,
         }

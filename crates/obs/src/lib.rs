@@ -1,13 +1,20 @@
 //! srr-obs: the observability layer for the sparse record/replay stack.
 //!
-//! Provides the structured event model ([`ObsEvent`]), bounded per-thread
-//! event rings ([`EventRing`]), log2 latency histograms ([`Histogram`]),
-//! the run-level [`ObsReport`], desynchronisation diagnostics
-//! ([`DesyncDiagnostics`]), and the exporters ([`chrome_trace`],
-//! [`text_timeline`]). The core runtime depends on this crate and feeds
-//! it through an [`Obs`] collector when a [`TraceSpec`] is configured;
-//! with tracing off the runtime never constructs a collector, so the
-//! instrumented hot path pays only an `Option` check.
+//! Two views of a run live here:
+//!
+//! * the **logical record** — [`SyncTrace`]: the exact completed-tick
+//!   schedule plus the [`SyncEvent`]s stamped on those ticks. It is the
+//!   one history of a run; analysis (`srr-analysis`), prediction
+//!   (`srr-predict`), the causal profiler ([`profile()`]) and the desync
+//!   diagnostics ([`DesyncDiagnostics`]) all read it. This crate has no
+//!   dependency on the runtime, so every layer can share the model;
+//! * the **bounded wall-clock view** — structured events ([`ObsEvent`])
+//!   in per-thread rings ([`EventRing`]) that drop old entries, log2
+//!   latency histograms ([`Histogram`]), the run-level [`ObsReport`], and
+//!   the exporters ([`chrome_trace`], [`text_timeline`]). The core
+//!   runtime feeds it through an [`Obs`] collector when a [`TraceSpec`]
+//!   is configured; with tracing off the runtime never constructs a
+//!   collector, so the instrumented hot path pays only an `Option` check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +29,7 @@ pub mod metrics;
 pub mod profile;
 mod report;
 mod ring;
+mod sync_trace;
 
 pub use chrome::{chrome_trace, text_timeline};
 pub use diag::{first_divergence, DesyncDiagnostics, TickDiff};
@@ -30,9 +38,10 @@ pub use farm::FarmCounters;
 pub use hist::Histogram;
 pub use json::Json;
 pub use metrics::{Counter, Gauge, MetricHistogram, MetricsRegistry};
-pub use profile::{profile, BucketRow, ProfileEvent, ProfileInput, ProfileReport};
+pub use profile::{profile, BucketRow, ProfileReport};
 pub use report::{ObsReport, StreamCounter, ThreadTrace};
 pub use ring::EventRing;
+pub use sync_trace::{SyncEvent, SyncTrace, SyncTraceBuilder};
 
 use parking_lot::Mutex;
 

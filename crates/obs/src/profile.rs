@@ -28,112 +28,18 @@
 //! durations never enter the computation, so the same demo profiles to a
 //! byte-identical report on every replay and every machine.
 //!
-//! Only events logged *inside* a scheduler critical section are used for
-//! tick arithmetic (`MutexRequest/Acquire/Release`, `CondWaitBegin`,
+//! The input is the run's [`SyncTrace`]: its `schedule` gives the owner
+//! of every tick, and its events the happens-before edges. Only events
+//! logged *inside* a scheduler critical section are used for tick
+//! arithmetic (`MutexRequest/Acquire/Release`, `CondWaitBegin`,
 //! `CondNotify`, spawn/join); `CondWaitReturn` is logged outside the
-//! critical section and its stamp may legitimately vary between replays.
+//! critical section and its stamp may legitimately vary between replays,
+//! and atomics and plain accesses carry no blocking information.
 
 use std::collections::{BTreeMap, HashMap};
 
 use crate::json::Json;
-
-/// One synchronisation fact feeding the profiler. A deliberately small
-/// mirror of the analysis crate's sync events: only the variants whose
-/// tick stamps are critical-section-deterministic.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ProfileEvent {
-    /// `tid` began a blocking acquire of `mutex` (first attempt's tick).
-    MutexRequest {
-        /// Requesting thread.
-        tid: u32,
-        /// Mutex id.
-        mutex: u32,
-        /// Tick of the first acquire attempt.
-        tick: u64,
-    },
-    /// `tid` acquired `mutex` at `tick`.
-    MutexAcquire {
-        /// Acquiring thread.
-        tid: u32,
-        /// Mutex id.
-        mutex: u32,
-        /// Tick of the successful attempt.
-        tick: u64,
-    },
-    /// `tid` released `mutex` at `tick`.
-    MutexRelease {
-        /// Releasing thread.
-        tid: u32,
-        /// Mutex id.
-        mutex: u32,
-        /// Tick of the release critical section.
-        tick: u64,
-    },
-    /// `tid` entered a condvar wait (atomically releasing its mutex).
-    CondWaitBegin {
-        /// Waiting thread.
-        tid: u32,
-        /// Condvar id.
-        cond: u32,
-        /// Tick of the wait-begin critical section.
-        tick: u64,
-    },
-    /// A thread signalled condvar `cond` at `tick`.
-    CondNotify {
-        /// Condvar id.
-        cond: u32,
-        /// Tick of the notify critical section.
-        tick: u64,
-    },
-    /// A parent spawned `child` at `tick`.
-    ThreadSpawn {
-        /// The spawned thread.
-        child: u32,
-        /// Tick of the spawn critical section.
-        tick: u64,
-    },
-    /// `tid` polled a join on `target` at `tick` (`done` on the final,
-    /// successful attempt).
-    ThreadJoin {
-        /// Joining thread.
-        tid: u32,
-        /// Joined thread.
-        target: u32,
-        /// Tick of this join attempt.
-        tick: u64,
-        /// Whether the target had finished.
-        done: bool,
-    },
-}
-
-impl ProfileEvent {
-    fn tick(&self) -> u64 {
-        match *self {
-            ProfileEvent::MutexRequest { tick, .. }
-            | ProfileEvent::MutexAcquire { tick, .. }
-            | ProfileEvent::MutexRelease { tick, .. }
-            | ProfileEvent::CondWaitBegin { tick, .. }
-            | ProfileEvent::CondNotify { tick, .. }
-            | ProfileEvent::ThreadSpawn { tick, .. }
-            | ProfileEvent::ThreadJoin { tick, .. } => tick,
-        }
-    }
-}
-
-/// Everything the profiler needs about one replayed execution, in
-/// logical time only. Built from an `ExecReport` by the core crate
-/// (`ExecReport::profile_input`) or synthesised directly in tests.
-#[derive(Clone, Debug, Default)]
-pub struct ProfileInput {
-    /// The complete schedule: `(tick, owner tid)` for ticks `1..=N`,
-    /// from the schedule trace. Order is normalised internally.
-    pub schedule: Vec<(u64, u32)>,
-    /// Sync events with critical-section tick stamps. Order is
-    /// normalised internally, so any traversal order is fine.
-    pub events: Vec<ProfileEvent>,
-    /// Human labels per mutex id (`mutex#N` is substituted when absent).
-    pub mutex_labels: BTreeMap<u32, String>,
-}
+use crate::sync_trace::{SyncEvent, SyncTrace};
 
 /// One ranked attribution bucket.
 #[derive(Clone, Debug, PartialEq)]
@@ -264,10 +170,14 @@ struct Prepared {
     held_at: HashMap<(u32, u64), u32>,
 }
 
-fn prepare(input: &ProfileInput, n: u64) -> Prepared {
+fn prepare(trace: &SyncTrace, n: u64) -> Prepared {
     let mut owner = vec![None; (n + 1) as usize];
     let mut owned: HashMap<u32, Vec<u64>> = HashMap::new();
-    let mut schedule = input.schedule.clone();
+    let mut schedule: Vec<(u64, u32)> = trace
+        .schedule
+        .iter()
+        .map(|&(tid, tick)| (tick, tid))
+        .collect();
     schedule.sort_unstable();
     for &(tick, tid) in &schedule {
         if tick >= 1 && tick <= n {
@@ -282,7 +192,7 @@ fn prepare(input: &ProfileInput, n: u64) -> Prepared {
 
     // Canonical event order: by tick, then variant/fields — makes every
     // derived structure independent of input traversal order.
-    let mut events = input.events.clone();
+    let mut events = trace.events.clone();
     events.sort_unstable_by(|a, b| a.tick().cmp(&b.tick()).then_with(|| a.cmp(b)));
 
     let mut episodes: HashMap<u32, Vec<(u64, u64, u32)>> = HashMap::new();
@@ -297,10 +207,10 @@ fn prepare(input: &ProfileInput, n: u64) -> Prepared {
 
     for ev in &events {
         match *ev {
-            ProfileEvent::MutexRequest { tid, mutex, tick } => {
+            SyncEvent::MutexRequest { tid, mutex, tick } => {
                 pending.insert((tid, mutex), tick);
             }
-            ProfileEvent::MutexAcquire { tid, mutex, tick } => {
+            SyncEvent::MutexAcquire { tid, mutex, tick } => {
                 if let Some(r) = pending.remove(&(tid, mutex)) {
                     episodes.entry(tid).or_default().push((r, tick, mutex));
                 }
@@ -309,27 +219,36 @@ fn prepare(input: &ProfileInput, n: u64) -> Prepared {
                     .or_default()
                     .push((tick, true, mutex));
             }
-            ProfileEvent::MutexRelease { tid, mutex, tick } => {
+            SyncEvent::MutexRelease { tid, mutex, tick } => {
                 releases.entry(mutex).or_default().push(tick);
                 lock_events
                     .entry(tid)
                     .or_default()
                     .push((tick, false, mutex));
             }
-            ProfileEvent::CondWaitBegin { tid, cond, tick } => {
+            SyncEvent::CondWaitBegin {
+                tid, cond, tick, ..
+            } => {
                 wait_begins.insert((tid, tick), cond);
             }
-            ProfileEvent::CondNotify { cond, tick } => {
+            SyncEvent::CondNotify { cond, tick, .. } => {
                 notifies.entry(cond).or_default().push(tick);
             }
-            ProfileEvent::ThreadSpawn { child, tick } => {
+            SyncEvent::ThreadSpawn { child, tick, .. } => {
                 spawns.entry(child).or_insert(tick);
             }
-            ProfileEvent::ThreadJoin {
+            SyncEvent::ThreadJoined {
                 tid, target, tick, ..
             } => {
                 joins.insert((tid, tick), target);
             }
+            // Stamped outside the critical section (a wait's return) or
+            // without blocking meaning (atomics, plain accesses): no
+            // part of the tick arithmetic.
+            SyncEvent::CondWaitReturn { .. }
+            | SyncEvent::AtomicLoad { .. }
+            | SyncEvent::AtomicStore { .. }
+            | SyncEvent::PlainAccess { .. } => {}
         }
     }
     // Requests the trace never saw acquired (deadlock, truncated run).
@@ -395,15 +314,16 @@ fn last_below(sorted: &[u64], limit: u64) -> Option<u64> {
     }
 }
 
-/// Runs the critical-path walk over `input`, producing ranked buckets
-/// whose tick totals sum exactly to the schedule length.
+/// Runs the critical-path walk over `trace`, producing ranked buckets
+/// whose tick totals sum exactly to the schedule length. An empty
+/// schedule (tracing was off) gives an empty report.
 #[must_use]
-pub fn profile(input: &ProfileInput) -> ProfileReport {
-    let n = input.schedule.iter().map(|&(t, _)| t).max().unwrap_or(0);
+pub fn profile(trace: &SyncTrace) -> ProfileReport {
+    let n = trace.schedule.iter().map(|&(_, t)| t).max().unwrap_or(0);
     if n == 0 {
         return ProfileReport::default();
     }
-    let p = prepare(input, n);
+    let p = prepare(trace, n);
     let mut totals: BTreeMap<Bucket, u64> = BTreeMap::new();
     let mut segments = 0u64;
     let mut k = n;
@@ -418,7 +338,7 @@ pub fn profile(input: &ProfileInput) -> ProfileReport {
     let mut buckets: Vec<BucketRow> = totals
         .into_iter()
         .map(|(b, ticks)| BucketRow {
-            name: bucket_name(&b, &p, input),
+            name: bucket_name(&b, trace),
             ticks,
             share: ticks as f64 / n as f64,
         })
@@ -508,17 +428,10 @@ fn on_cpu_bucket(p: &Prepared, t: u32, k: u64) -> Bucket {
     }
 }
 
-fn bucket_name(b: &Bucket, _p: &Prepared, input: &ProfileInput) -> String {
-    let lock_label = |m: &u32| {
-        input
-            .mutex_labels
-            .get(m)
-            .cloned()
-            .unwrap_or_else(|| format!("mutex#{m}"))
-    };
+fn bucket_name(b: &Bucket, trace: &SyncTrace) -> String {
     match b {
-        Bucket::LockWaited(m) => format!("lock:{}/waited", lock_label(m)),
-        Bucket::LockHeld(m) => format!("lock:{}/held", lock_label(m)),
+        Bucket::LockWaited(m) => format!("lock:{}/waited", trace.mutex_label(*m)),
+        Bucket::LockHeld(m) => format!("lock:{}/held", trace.mutex_label(*m)),
         Bucket::Cond(c) => format!("cond:cond#{c}/wait"),
         Bucket::Join(t) => format!("join:T{t}"),
         Bucket::SchedSpawn => "sched:spawn".to_owned(),
@@ -531,17 +444,17 @@ fn bucket_name(b: &Bucket, _p: &Prepared, input: &ProfileInput) -> String {
 mod tests {
     use super::*;
 
-    fn schedule(owners: &[u32]) -> Vec<(u64, u32)> {
+    fn schedule(owners: &[u32]) -> Vec<(u32, u64)> {
         owners
             .iter()
             .enumerate()
-            .map(|(i, &t)| ((i + 1) as u64, t))
+            .map(|(i, &t)| (t, (i + 1) as u64))
             .collect()
     }
 
     #[test]
     fn empty_schedule_is_empty_report() {
-        let rep = profile(&ProfileInput::default());
+        let rep = profile(&SyncTrace::default());
         assert_eq!(rep.total_ticks, 0);
         assert_eq!(rep.attributed_ticks(), 0);
         assert!(rep.buckets.is_empty());
@@ -549,7 +462,7 @@ mod tests {
 
     #[test]
     fn single_thread_is_all_on_cpu() {
-        let input = ProfileInput {
+        let input = SyncTrace {
             schedule: schedule(&[0, 0, 0, 0]),
             ..Default::default()
         };
@@ -565,36 +478,37 @@ mod tests {
     fn lock_wait_attributes_to_waited_bucket() {
         // T0: acquire m at 1, work 2-3, release at 4.
         // T1: request at 2 (fails), blocked, acquires at 5, releases 6.
-        let input = ProfileInput {
+        let input = SyncTrace {
             schedule: schedule(&[0, 1, 0, 0, 1, 1]),
             events: vec![
-                ProfileEvent::MutexAcquire {
+                SyncEvent::MutexAcquire {
                     tid: 0,
                     mutex: 1,
                     tick: 1,
                 },
-                ProfileEvent::MutexRequest {
+                SyncEvent::MutexRequest {
                     tid: 1,
                     mutex: 1,
                     tick: 2,
                 },
-                ProfileEvent::MutexRelease {
+                SyncEvent::MutexRelease {
                     tid: 0,
                     mutex: 1,
                     tick: 4,
                 },
-                ProfileEvent::MutexAcquire {
+                SyncEvent::MutexAcquire {
                     tid: 1,
                     mutex: 1,
                     tick: 5,
                 },
-                ProfileEvent::MutexRelease {
+                SyncEvent::MutexRelease {
                     tid: 1,
                     mutex: 1,
                     tick: 6,
                 },
             ],
-            mutex_labels: [(1, "queue".to_owned())].into_iter().collect(),
+            mutex_labels: vec![None, Some("queue".to_owned())],
+            ..Default::default()
         };
         let rep = profile(&input);
         assert_eq!(rep.attributed_ticks(), rep.total_ticks);
@@ -619,46 +533,52 @@ mod tests {
         // T1: lock(2), wait-begin on cond 7 at tick 2 (releases m2).
         // T0: lock at 3, notify at 4, release at 5.
         // T1: reacquire request+acquire at 6, release 7, final work 8.
-        let input = ProfileInput {
+        let input = SyncTrace {
             schedule: schedule(&[1, 1, 0, 0, 0, 1, 1, 1]),
             events: vec![
-                ProfileEvent::MutexAcquire {
+                SyncEvent::MutexAcquire {
                     tid: 1,
                     mutex: 2,
                     tick: 1,
                 },
-                ProfileEvent::CondWaitBegin {
+                SyncEvent::CondWaitBegin {
                     tid: 1,
                     cond: 7,
+                    mutex: 2,
                     tick: 2,
                 },
-                ProfileEvent::MutexRelease {
+                SyncEvent::MutexRelease {
                     tid: 1,
                     mutex: 2,
                     tick: 2,
                 },
-                ProfileEvent::MutexAcquire {
+                SyncEvent::MutexAcquire {
                     tid: 0,
                     mutex: 2,
                     tick: 3,
                 },
-                ProfileEvent::CondNotify { cond: 7, tick: 4 },
-                ProfileEvent::MutexRelease {
+                SyncEvent::CondNotify {
+                    tid: 0,
+                    cond: 7,
+                    tick: 4,
+                    all: false,
+                },
+                SyncEvent::MutexRelease {
                     tid: 0,
                     mutex: 2,
                     tick: 5,
                 },
-                ProfileEvent::MutexRequest {
+                SyncEvent::MutexRequest {
                     tid: 1,
                     mutex: 2,
                     tick: 6,
                 },
-                ProfileEvent::MutexAcquire {
+                SyncEvent::MutexAcquire {
                     tid: 1,
                     mutex: 2,
                     tick: 6,
                 },
-                ProfileEvent::MutexRelease {
+                SyncEvent::MutexRelease {
                     tid: 1,
                     mutex: 2,
                     tick: 7,
@@ -679,17 +599,21 @@ mod tests {
     fn join_gap_attributes_to_join_bucket() {
         // T0 spawns T1 at 1, tries join at 2 (not done), blocked while T1
         // runs 3-5, join completes at 6.
-        let input = ProfileInput {
+        let input = SyncTrace {
             schedule: schedule(&[0, 0, 1, 1, 1, 0]),
             events: vec![
-                ProfileEvent::ThreadSpawn { child: 1, tick: 1 },
-                ProfileEvent::ThreadJoin {
+                SyncEvent::ThreadSpawn {
+                    tid: 0,
+                    child: 1,
+                    tick: 1,
+                },
+                SyncEvent::ThreadJoined {
                     tid: 0,
                     target: 1,
                     tick: 2,
                     done: false,
                 },
-                ProfileEvent::ThreadJoin {
+                SyncEvent::ThreadJoined {
                     tid: 0,
                     target: 1,
                     tick: 6,
@@ -710,9 +634,13 @@ mod tests {
     #[test]
     fn spawn_gap_attributes_to_sched_spawn() {
         // T0 runs 1-3 (spawn at 2), T1 first scheduled at 4.
-        let input = ProfileInput {
+        let input = SyncTrace {
             schedule: schedule(&[0, 0, 0, 1]),
-            events: vec![ProfileEvent::ThreadSpawn { child: 1, tick: 2 }],
+            events: vec![SyncEvent::ThreadSpawn {
+                tid: 0,
+                child: 1,
+                tick: 2,
+            }],
             ..Default::default()
         };
         let rep = profile(&input);
@@ -728,25 +656,25 @@ mod tests {
 
     #[test]
     fn event_order_does_not_change_the_report() {
-        let mut input = ProfileInput {
+        let mut input = SyncTrace {
             schedule: schedule(&[0, 1, 0, 0, 1, 1]),
             events: vec![
-                ProfileEvent::MutexAcquire {
+                SyncEvent::MutexAcquire {
                     tid: 0,
                     mutex: 1,
                     tick: 1,
                 },
-                ProfileEvent::MutexRequest {
+                SyncEvent::MutexRequest {
                     tid: 1,
                     mutex: 1,
                     tick: 2,
                 },
-                ProfileEvent::MutexRelease {
+                SyncEvent::MutexRelease {
                     tid: 0,
                     mutex: 1,
                     tick: 4,
                 },
-                ProfileEvent::MutexAcquire {
+                SyncEvent::MutexAcquire {
                     tid: 1,
                     mutex: 1,
                     tick: 5,
@@ -763,7 +691,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_shape() {
-        let input = ProfileInput {
+        let input = SyncTrace {
             schedule: schedule(&[0, 0]),
             ..Default::default()
         };

@@ -54,7 +54,9 @@ pub struct ObsReport {
 
 impl ObsReport {
     /// All retained `TickEnd` events across threads, sorted by tick —
-    /// the replayed schedule order as far as the rings remember it.
+    /// the replayed schedule order as far as the rings remember it. The
+    /// rings drop old events, so this is a bounded view; the exact
+    /// schedule is `SyncTrace::schedule`.
     #[must_use]
     pub fn tick_order(&self) -> Vec<(u32, u64)> {
         let mut out: Vec<(u32, u64)> = self

@@ -4,8 +4,8 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use srr_obs::profile::{profile, ProfileEvent, ProfileInput};
-use srr_obs::{Counter, Histogram, MetricHistogram};
+use srr_obs::profile::profile;
+use srr_obs::{Counter, Histogram, MetricHistogram, SyncEvent, SyncTrace};
 
 fn hist_of(samples: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -15,14 +15,16 @@ fn hist_of(samples: &[u64]) -> Histogram {
     h
 }
 
-/// A random but internally consistent profiler input: a schedule over a
-/// few threads plus lock/cond/spawn events stamped onto owned ticks.
-fn arb_profile_input() -> impl Strategy<Value = ProfileInput> {
-    (vec(0u32..4, 1..60), vec(0usize..6, 0..20)).prop_map(|(owners, choices)| {
-        let schedule: Vec<(u64, u32)> = owners
+/// A random but internally consistent profiler input: a sync trace whose
+/// schedule spans a few threads, plus lock/cond/join events stamped onto
+/// owned ticks and some events the profiler skips (a wait's return, an
+/// atomic store).
+fn arb_sync_trace() -> impl Strategy<Value = SyncTrace> {
+    (vec(0u32..4, 1..60), vec(0usize..8, 0..20)).prop_map(|(owners, choices)| {
+        let schedule: Vec<(u32, u64)> = owners
             .iter()
             .enumerate()
-            .map(|(i, &t)| ((i + 1) as u64, t))
+            .map(|(i, &t)| (t, (i + 1) as u64))
             .collect();
         let mut events = Vec::new();
         for (i, &c) in choices.iter().enumerate() {
@@ -31,35 +33,58 @@ fn arb_profile_input() -> impl Strategy<Value = ProfileInput> {
             let tid = owners[k - 1];
             let tick = k as u64;
             events.push(match c {
-                0 => ProfileEvent::MutexRequest {
+                0 => SyncEvent::MutexRequest {
                     tid,
                     mutex: 1,
                     tick,
                 },
-                1 => ProfileEvent::MutexAcquire {
+                1 => SyncEvent::MutexAcquire {
                     tid,
                     mutex: 1,
                     tick,
                 },
-                2 => ProfileEvent::MutexRelease {
+                2 => SyncEvent::MutexRelease {
                     tid,
                     mutex: 1,
                     tick,
                 },
-                3 => ProfileEvent::CondWaitBegin { tid, cond: 2, tick },
-                4 => ProfileEvent::CondNotify { cond: 2, tick },
-                _ => ProfileEvent::ThreadJoin {
+                3 => SyncEvent::CondWaitBegin {
+                    tid,
+                    cond: 2,
+                    mutex: 1,
+                    tick,
+                },
+                4 => SyncEvent::CondNotify {
+                    tid,
+                    cond: 2,
+                    tick,
+                    all: false,
+                },
+                5 => SyncEvent::ThreadJoined {
                     tid,
                     target: (tid + 1) % 4,
                     tick,
                     done: true,
                 },
+                6 => SyncEvent::CondWaitReturn {
+                    tid,
+                    cond: 2,
+                    mutex: 1,
+                    tick,
+                    signaled: true,
+                },
+                _ => SyncEvent::AtomicStore {
+                    tid,
+                    loc: 0,
+                    tick,
+                    rmw: false,
+                },
             });
         }
-        ProfileInput {
+        SyncTrace {
             schedule,
             events,
-            mutex_labels: Default::default(),
+            ..SyncTrace::default()
         }
     })
 }
@@ -138,7 +163,7 @@ proptest! {
     /// byte-identical JSON report, even when the event and schedule
     /// vectors are traversed in a different order.
     #[test]
-    fn profile_json_is_byte_identical(input in arb_profile_input()) {
+    fn profile_json_is_byte_identical(input in arb_sync_trace()) {
         let a = profile(&input).to_json().to_pretty();
         let b = profile(&input).to_json().to_pretty();
         prop_assert_eq!(&a, &b);
@@ -152,7 +177,7 @@ proptest! {
     /// The critical-path walk partitions logical time exactly: bucket
     /// totals always sum to the schedule length, whatever the events say.
     #[test]
-    fn profile_buckets_partition_total_ticks(input in arb_profile_input()) {
+    fn profile_buckets_partition_total_ticks(input in arb_sync_trace()) {
         let rep = profile(&input);
         prop_assert_eq!(rep.total_ticks, input.schedule.len() as u64);
         prop_assert_eq!(rep.attributed_ticks(), rep.total_ticks);

@@ -44,7 +44,7 @@ pub use model::{Access, TickOp, TraceModel};
 pub use weakpo::{weak_candidates, Candidate};
 pub use witness::{synthesize, Synth};
 
-use srr_analysis::SyncTrace;
+use srr_obs::SyncTrace;
 use srr_replay::Demo;
 
 /// Final grade of one predicted race.
@@ -246,7 +246,7 @@ pub fn classify_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srr_analysis::SyncEvent;
+    use srr_obs::SyncEvent;
     use srr_replay::{DemoHeader, QueueStream};
 
     fn unordered_pair() -> (SyncTrace, Demo) {
@@ -277,6 +277,7 @@ mod tests {
             ],
             mutex_labels: vec![],
             loc_labels: vec!["x".into()],
+            ..SyncTrace::default()
         };
         let order = [(0, 1), (0, 2), (1, 3), (2, 4), (1, 5), (2, 6), (0, 7)];
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 2]));

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use srr_analysis::{SyncEvent, SyncTrace};
+use srr_obs::{SyncEvent, SyncTrace};
 use srr_replay::Demo;
 
 /// What a classified tick's critical section did. One tick can carry

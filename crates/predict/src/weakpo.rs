@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use srr_analysis::{SyncEvent, SyncTrace};
+use srr_obs::{SyncEvent, SyncTrace};
 use srr_vclock::VectorClock;
 
 /// A predicted racing pair: indices into the model's access list (in
@@ -311,6 +311,7 @@ mod tests {
             events,
             mutex_labels: vec![],
             loc_labels: vec!["x".into(), "y".into()],
+            ..SyncTrace::default()
         }
     }
 

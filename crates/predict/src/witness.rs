@@ -424,7 +424,7 @@ fn rebuild_demo(demo: &Demo, order: &[(u32, u64)], nthreads: usize) -> Demo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srr_analysis::{SyncEvent, SyncTrace};
+    use srr_obs::{SyncEvent, SyncTrace};
 
     /// The hidden-handoff shape: T0 spawns T1 and T2; T1 writes x then
     /// locks/unlocks m; T2 pads, locks/unlocks m, then writes x.

@@ -211,7 +211,7 @@ mod tests {
                 quantum: 4,
                 seeds: [1, 1],
             });
-            config = config.with_schedule_trace();
+            config = config.with_sync_trace();
             Execution::new(config).run(|| {
                 let a = Arc::new(Atomic::new(0u64));
                 let handles: Vec<_> = (0..2)
