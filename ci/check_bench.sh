@@ -14,13 +14,16 @@ set -euo pipefail
 
 THRESHOLD="${1:-0.25}"
 
-for table in table1 table2 table3 table5; do
+for table in table1 table2 table3 table5 layers; do
   section "bench $table (--quick)"
   cargo bench -p srr-bench --bench "$table" -- --quick
 done
 
+# BENCH_layers.json gates the cost ladder's scheduling rungs (us per
+# visible op): a handoff that goes back to waking a parked thread every
+# time costs about 4x and fails here.
 cargo run --release -p srr-bench --bin check_bench -- \
-  --threshold "$THRESHOLD" bench/baseline.json BENCH_table*.json
+  --threshold "$THRESHOLD" bench/baseline.json BENCH_table*.json BENCH_layers.json
 
 # Produce a sample Chrome trace (uploaded as a CI artifact) and check it
 # is well-formed enough to load in a viewer.

@@ -1927,8 +1927,8 @@ mod tests {
         ]))
         .expect("record");
         let mut demo = Demo::load_dir(dir).expect("recorded demo loads");
-        let keep = demo.queue.next_ticks.len() / 2;
-        demo.queue.next_ticks.truncate(keep);
+        let keep = demo.queue.next_tick_count() / 2;
+        demo.queue.truncate_next_ticks(keep);
         demo.save_dir(dir).unwrap();
         demo
     }

@@ -30,7 +30,7 @@ fn corrupt_and_replay(keep: usize) -> (tsan11rec::ExecReport, Demo, Vec<(u32, u6
         keep < full_order.len(),
         "fixture too short to truncate at {keep}"
     );
-    demo.queue.next_ticks.truncate(keep);
+    demo.queue.truncate_next_ticks(keep);
 
     // A hand-edited demo directory goes through the loader, which now
     // refuses the truncation: ticks past the end are still claimed.
@@ -118,7 +118,7 @@ fn diagnostics_skip_divergence_when_tracing_off() {
     const M: usize = 10;
     let dir = fixture_dir("queue");
     let mut demo = Demo::load_dir(&dir).expect("fixture");
-    demo.queue.next_ticks.truncate(M);
+    demo.queue.truncate_next_ticks(M);
     let untraced = Config::new(Mode::Tsan11Rec(Strategy::Queue))
         .with_seeds([11, 13])
         .without_liveness();

@@ -176,12 +176,29 @@ fn config_with_metrics_publishes_sched_and_vos_planes() {
 
     assert_eq!(registry.gauge("run_ticks").get(), report.ticks);
     assert_eq!(registry.gauge("run_visible_ops").get(), report.visible_ops);
-    assert!(
-        registry.counter("sched_wakeups_total").get() > 0,
-        "a multi-thread run issues wakeups"
+    // The scheduler plane mirrors the report's counters. Their values
+    // depend on timing: a handoff caught by a spinning thread takes no
+    // OS wakeup, so a short run may issue none.
+    let snap = registry.snapshot_json();
+    let counter = |k: &str| {
+        snap.get("counters")
+            .and_then(|c| c.get(k))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("counter {k} registered: {}", snap.to_pretty()))
+    };
+    assert_eq!(
+        counter("sched_wakeups_total"),
+        report.sched.wakeups_issued as f64
+    );
+    assert_eq!(
+        counter("sched_broadcasts_total"),
+        report.sched.broadcasts as f64
+    );
+    assert_eq!(
+        counter("sched_spurious_wakeups_total"),
+        report.sched.spurious_wakeups as f64
     );
     // The vOS plane registers even when the workload never syscalls.
-    let snap = registry.snapshot_json();
     assert!(
         snap.get("gauges")
             .and_then(|g| g.get("vos_syscalls"))

@@ -21,7 +21,9 @@ fn naive_size(demo: &Demo) -> usize {
     // QUEUE: one decimal literal per tick value.
     let naive_u64s =
         |vals: &[u64]| -> usize { vals.iter().map(|v| v.to_string().len() + 1).sum::<usize>() };
-    total += naive_u64s(&demo.queue.first_tick) + naive_u64s(&demo.queue.next_ticks) + 12;
+    total += naive_u64s(&demo.queue.first_tick)
+        + naive_u64s(&demo.queue.next_ticks().collect::<Vec<_>>())
+        + 12;
     // SIGNAL/ASYNC unchanged (already minimal).
     total += demo.to_string_map()["SIGNAL"].len() + demo.to_string_map()["ASYNC"].len();
     // SYSCALL: plain hex for every buffer byte.

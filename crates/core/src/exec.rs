@@ -381,7 +381,7 @@ fn demo_stream_counters(demo: &Demo) -> Vec<StreamCounter> {
         entry("HEADER", 1),
         entry(
             "QUEUE",
-            (demo.queue.first_tick.len() + demo.queue.next_ticks.len()) as u64,
+            (demo.queue.first_tick.len() + demo.queue.next_tick_count()) as u64,
         ),
         entry("SIGNAL", demo.signals.len() as u64),
         entry("SYSCALL", demo.syscalls.len() as u64),

@@ -14,11 +14,14 @@ use srr_replay::{HardDesync, SoftDesync};
 /// parking-slot design wakes exactly the chosen thread, so
 /// `wakeups_issued` stays bounded by `ticks` plus the genuine broadcast
 /// points (`broadcasts`: shutdown/failure and replay-stall recovery).
+/// A waiting thread spins before it parks, and a wakeup that reaches it
+/// mid-spin costs no OS wakeup and is not counted, so `wakeups_issued /
+/// ticks` is the share of handoffs the spin missed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Critical sections executed (the global tick).
     pub ticks: u64,
-    /// Targeted (single-thread) wakeups issued by the scheduler.
+    /// Targeted OS wakeups: notifications of one parked thread.
     pub wakeups_issued: u64,
     /// Broadcast wakeups (every parked thread notified at once).
     pub broadcasts: u64,

@@ -17,12 +17,15 @@
 //! enforced from the same place on replay.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-use std::time::Instant;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use srr_obs::{EventKind, Obs, ObsOp, StreamId, SyncTraceBuilder};
-use srr_replay::{AsyncEvent, HardDesync, QueueStream, SignalEvent};
+use srr_replay::rle::{self, U64Token};
+use srr_replay::{AsyncEvent, HardDesync, QueueStream, ScheduleRuns, SignalEvent};
 
 use crate::config::Strategy;
 use crate::ids::{CondId, MutexId, Tid};
@@ -66,17 +69,84 @@ enum Status {
     Finished,
 }
 
+/// How long a thread that must wait spins before it parks: about three
+/// times the measured cost of waking a parked thread on another CPU
+/// (≈7 µs on a 2-vCPU Xeon), so a handoff that comes promptly is caught
+/// without an OS wakeup while an idle thread still sleeps. A time, not
+/// an iteration count: one `spin_loop` hint costs from a few ns to
+/// ≈19 ns depending on the CPU, and a 20k-iteration spin (≈380 µs) was
+/// slower than no spin at all.
+const SPIN_LIMIT: Duration = Duration::from_micros(20);
+
+/// `spin_loop` hints between two reads of the clock during a spin; each
+/// read is followed by a `yield_now`.
+const SPINS_PER_CLOCK_READ: u32 = 32;
+
+/// A thread's parking slot. Every wakeup aimed at the thread bumps
+/// `epoch` under the scheduler mutex; a waiting thread may first spin on
+/// the epoch outside the mutex, and then parks on `cv`.
+#[derive(Default)]
+struct Slot {
+    epoch: AtomicU64,
+    cv: Condvar,
+}
+
+/// Where a thread waiting for a wakeup is; changed only under the
+/// scheduler mutex.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sleep {
+    /// Not waiting for a wakeup, or already woken.
+    Awake,
+    /// Spinning on its slot's epoch, the mutex released.
+    Spinning,
+    /// Parked on its slot's condvar: only it needs an OS wakeup.
+    Parked,
+}
+
+/// Spins until `epoch` moves off `seen` or [`SPIN_LIMIT`] passes.
+///
+/// The spin yields the CPU between clock reads: with more runnable
+/// threads than CPUs (httpd-sim's workers coming back from invisible
+/// backend work while others poll through the scheduler), a spin that
+/// never yields keeps them off the CPU, and cost the 4-worker httpd
+/// table 20–25% of its queue-strategy throughput on 2 CPUs.
+fn spin_for_wake(epoch: &AtomicU64, seen: u64) {
+    let start = Instant::now();
+    loop {
+        for _ in 0..SPINS_PER_CLOCK_READ {
+            if epoch.load(Ordering::Acquire) != seen {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= SPIN_LIMIT {
+            return;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// CPUs this process may run on, read once per process:
+/// `available_parallelism` honours the affinity mask and the cgroup CPU
+/// quota, but reads files to do so, too slow for every `Execution`.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 struct ThreadState {
     status: Status,
     /// Tick value seen at this thread's most recent `Tick()` (§4.3).
     last_tick: u64,
     pending_signals: VecDeque<i32>,
-    /// This thread's parking slot: a condvar waited on (against the one
-    /// scheduler mutex) by this thread alone, so the scheduler can wake
-    /// exactly the thread it chose instead of broadcasting to the herd.
-    slot: Arc<Condvar>,
-    /// Blocked inside `Wait()`.
+    /// This thread's parking slot, waited on by this thread alone, so the
+    /// scheduler can wake exactly the thread it chose instead of
+    /// broadcasting to the herd.
+    slot: Arc<Slot>,
+    /// Blocked inside `Wait()` (or a slice `hold`).
     in_wait: bool,
+    /// Whether the thread waits for a wakeup, and how.
+    sleep: Sleep,
     /// Between `Wait()` success and `Tick()` completion.
     in_cs: bool,
     /// Queue strategy: present in the arrival queue.
@@ -101,6 +171,7 @@ impl std::fmt::Debug for ThreadState {
             .field("last_tick", &self.last_tick)
             .field("pending_signals", &self.pending_signals)
             .field("in_wait", &self.in_wait)
+            .field("sleep", &self.sleep)
             .field("in_cs", &self.in_cs)
             .field("queued", &self.queued)
             .field("next_due", &self.next_due)
@@ -116,8 +187,9 @@ impl ThreadState {
             status: Status::Enabled,
             last_tick: 0,
             pending_signals: VecDeque::new(),
-            slot: Arc::new(Condvar::new()),
+            slot: Arc::default(),
             in_wait: false,
+            sleep: Sleep::Awake,
             in_cs: false,
             queued: false,
             next_due: 0,
@@ -137,14 +209,16 @@ struct ReplayState {
     /// tick → async events floated to the end of that tick.
     async_events: HashMap<u64, Vec<AsyncEvent>>,
     first_tick: Vec<u64>,
-    next_ticks: Vec<u64>,
+    /// The QUEUE next-tick list, read in tick order straight off its runs.
+    next_ticks: rle::Expand<std::vec::IntoIter<U64Token>>,
 }
 
 /// Record buffers.
 #[derive(Debug, Default)]
 struct RecordState {
     active: bool,
-    queue_order: Vec<(u32, u64)>,
+    /// The QUEUE schedule, kept as runs of one thread's ticks.
+    queue: ScheduleRuns,
     signals: Vec<SignalEvent>,
     async_events: Vec<AsyncEvent>,
 }
@@ -185,7 +259,12 @@ struct SchedState {
     /// off. The builder's lock is a leaf under the scheduler mutex: the
     /// runtime never holds it while taking this one.
     sync_trace: Option<Arc<Mutex<SyncTraceBuilder>>>,
-    /// Targeted wakeups issued (one parked thread notified).
+    /// Whether waiting threads spin before they park: not on a single
+    /// CPU, where the spinner would only keep the thread it waits for off
+    /// the CPU.
+    spin: bool,
+    /// Targeted OS wakeups issued (one parked thread notified; a wakeup
+    /// caught by a spinning thread costs none and is not counted).
     wakeups_issued: u64,
     /// Broadcast wakeups issued (every parked thread notified).
     broadcasts: u64,
@@ -213,12 +292,13 @@ struct SchedMetrics {
 
 /// The controlled scheduler shared by all threads of one execution.
 ///
-/// Wakeups are *targeted*: each thread parks on its own condvar (its
-/// [`ThreadState::slot`]) against the one state mutex, and `Tick()`
-/// notifies exactly the thread the strategy chose ([`SchedState::wake_next`]).
-/// Broadcasts survive only where every parked thread genuinely must wake:
-/// execution failure (deadlock/desync/panic teardown) and replay-stall
-/// detection ([`SchedState::wake_all`]).
+/// Wakeups are *targeted*: each thread waits on its own [`Slot`], and
+/// `Tick()` wakes exactly the thread the strategy chose
+/// ([`SchedState::wake_next`]). A waiting thread spins for up to
+/// [`SPIN_LIMIT`] before it parks, so a prompt handoff costs no OS
+/// wakeup. Broadcasts survive only where every waiting thread genuinely
+/// must wake: execution failure (deadlock/desync/panic teardown) and
+/// replay-stall detection ([`SchedState::wake_all`]).
 pub struct Scheduler {
     state: Mutex<SchedState>,
 }
@@ -227,6 +307,12 @@ impl Scheduler {
     /// Creates a scheduler for a fresh execution with the main thread
     /// (tid 0) registered and active.
     pub fn new(strategy: Strategy, prng: Prng) -> Self {
+        Self::with_cpus(strategy, prng, host_cpus())
+    }
+
+    /// [`Scheduler::new`] for a host with `cpus` CPUs: waiting threads
+    /// spin before they park only when there is more than one.
+    fn with_cpus(strategy: Strategy, prng: Prng, cpus: usize) -> Self {
         let slice_jitter = Prng::from_seeds([0x51ce ^ prng.draws(), 0x1177]);
         let mut threads = Vec::new();
         let mut main = ThreadState::new();
@@ -261,6 +347,7 @@ impl Scheduler {
                 delay_budget,
                 slice_jitter,
                 sync_trace: None,
+                spin: cpus > 1,
                 wakeups_issued: 0,
                 broadcasts: 0,
                 spurious_wakeups: 0,
@@ -318,7 +405,7 @@ impl Scheduler {
             signals: sig_map,
             async_events: async_map,
             first_tick: queue.first_tick.clone(),
-            next_ticks: queue.next_ticks.clone(),
+            next_ticks: rle::Expand::new(queue.next_tick_tokens().to_vec()),
         };
         if g.strategy.needs_queue_stream() {
             g.threads[0].next_due = g.replay.first_tick.first().copied().unwrap_or(0);
@@ -345,45 +432,10 @@ impl Scheduler {
     /// Panics with [`SchedAbort`] if the execution failed (deadlock,
     /// desynchronisation, program panic) — the harness catches this.
     pub fn wait(&self, tid: Tid) {
-        let mut g = self.state.lock();
-        let mut slept = false;
-        loop {
-            if let Some(f) = &g.fail {
-                let f = f.clone();
-                drop(g);
-                std::panic::panic_any(SchedAbort(f));
-            }
-            if g.eligible(tid) {
-                break;
-            }
-            if slept {
-                g.spurious_wakeups += 1;
-                if let Some(m) = &g.metrics {
-                    m.spurious.inc();
-                }
-            }
-            g.threads[tid.index()].in_wait = true;
-            g.in_wait_count += 1;
-            if g.replay.active {
-                g.check_replay_stall();
-                if g.fail.is_some() {
-                    // This thread completed the all-parked condition and
-                    // must not sleep through its own stall verdict.
-                    g.in_wait_count -= 1;
-                    g.threads[tid.index()].in_wait = false;
-                    continue;
-                }
-            }
-            let slot = Arc::clone(&g.threads[tid.index()].slot);
-            slot.wait(&mut g);
-            slept = true;
-            g.in_wait_count -= 1;
-            g.threads[tid.index()].in_wait = false;
-        }
+        let mut g = self.block_until(tid, |g| g.eligible(tid));
         g.tick += 1;
         let tick = g.tick;
         let st = &mut g.threads[tid.index()];
-        st.in_wait = false;
         st.in_cs = true;
         st.cs_tick = tick;
         g.cs_in_flight = true;
@@ -426,7 +478,7 @@ impl Scheduler {
         }
 
         if g.record.active && g.strategy.needs_queue_stream() {
-            g.record.queue_order.push((tid.0, k));
+            g.record.queue.push(tid.0, k);
         }
         if let Some(trace) = &g.sync_trace {
             trace.lock().push_tick(tid.0, k);
@@ -517,6 +569,22 @@ impl Scheduler {
     /// (The sparse tool never calls this: invisible parallelism is its
     /// headline advantage — Figure 3.)
     pub fn hold(&self, tid: Tid) {
+        self.block_until(tid, |g| {
+            g.threads[tid.index()].status == Status::Finished || g.eligible(tid)
+        });
+    }
+
+    /// Blocks `tid` until `ready` holds under the scheduler mutex, and
+    /// returns the mutex still held.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`SchedAbort`] once the execution has failed.
+    fn block_until(
+        &self,
+        tid: Tid,
+        mut ready: impl FnMut(&mut SchedState) -> bool,
+    ) -> MutexGuard<'_, SchedState> {
         let mut g = self.state.lock();
         let mut slept = false;
         loop {
@@ -525,11 +593,8 @@ impl Scheduler {
                 drop(g);
                 std::panic::panic_any(SchedAbort(f));
             }
-            if g.threads[tid.index()].status == Status::Finished {
-                return;
-            }
-            if g.eligible(tid) {
-                return;
+            if ready(&mut g) {
+                return g;
             }
             if slept {
                 g.spurious_wakeups += 1;
@@ -541,18 +606,47 @@ impl Scheduler {
             g.in_wait_count += 1;
             if g.replay.active {
                 g.check_replay_stall();
-                if g.fail.is_some() {
-                    g.in_wait_count -= 1;
-                    g.threads[tid.index()].in_wait = false;
-                    continue;
-                }
             }
-            let slot = Arc::clone(&g.threads[tid.index()].slot);
-            slot.wait(&mut g);
-            slept = true;
+            // A thread that completed the all-waiting condition must not
+            // sleep through its own stall verdict.
+            if g.fail.is_none() {
+                g = self.sleep(g, tid);
+                slept = true;
+            }
             g.in_wait_count -= 1;
             g.threads[tid.index()].in_wait = false;
         }
+    }
+
+    /// Waits for a wakeup aimed at `tid`: spins on its slot's epoch with
+    /// the mutex released, then parks on the slot's condvar. The caller
+    /// re-checks its condition either way.
+    ///
+    /// No wakeup is lost: `sleep` changes only under the mutex, so the
+    /// re-check after the spin sees every wakeup issued meanwhile, and a
+    /// later one finds the thread `Parked` and notifies the condvar,
+    /// whose wait releases the mutex atomically.
+    fn sleep<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, SchedState>,
+        tid: Tid,
+    ) -> MutexGuard<'a, SchedState> {
+        let slot = Arc::clone(&g.threads[tid.index()].slot);
+        if g.spin {
+            g.threads[tid.index()].sleep = Sleep::Spinning;
+            let seen = slot.epoch.load(Ordering::Relaxed);
+            drop(g);
+            spin_for_wake(&slot.epoch, seen);
+            g = self.state.lock();
+            if g.threads[tid.index()].sleep == Sleep::Awake {
+                return g;
+            }
+        }
+        g.threads[tid.index()].sleep = Sleep::Parked;
+        slot.cv.wait(&mut g);
+        // Awake unless the condvar woke spuriously.
+        g.threads[tid.index()].sleep = Sleep::Awake;
+        g
     }
 
     /// `ThreadNew(tid)` (§3.2): registers a newly created thread; returns
@@ -821,22 +915,11 @@ impl Scheduler {
     /// Extracts the recorded scheduling streams: `(QUEUE, SIGNAL, ASYNC)`.
     pub fn take_recording(&self) -> (QueueStream, Vec<SignalEvent>, Vec<AsyncEvent>) {
         let mut g = self.state.lock();
-        let order = std::mem::take(&mut g.record.queue_order);
+        let queue = std::mem::take(&mut g.record.queue);
         let signals = std::mem::take(&mut g.record.signals);
         let async_events = std::mem::take(&mut g.record.async_events);
-        (
-            build_queue_stream(&order, g.threads.len()),
-            signals,
-            async_events,
-        )
+        (queue.into_queue(g.threads.len()), signals, async_events)
     }
-}
-
-/// Builds the paper's QUEUE representation (§4.2) from the per-tick
-/// `(tid, tick)` log: the first tick per thread plus, for each critical
-/// section in order, the tick at which its thread runs next (0 = never).
-fn build_queue_stream(order: &[(u32, u64)], nthreads: usize) -> QueueStream {
-    QueueStream::from_order(order, nthreads)
 }
 
 impl SchedState {
@@ -875,10 +958,12 @@ impl SchedState {
 
     fn choose_next(&mut self, tid: Tid, k: u64) {
         if self.replay.active && self.strategy.needs_queue_stream() {
-            // Consume the next-tick entry for critical section k (§4.2).
-            let idx = (k - 1) as usize;
-            match self.replay.next_ticks.get(idx) {
-                Some(&next) => {
+            // Consume the next-tick entry for critical section k (§4.2):
+            // critical sections close in tick order, so entry k-1 is the
+            // next one off the runs.
+            let idx = k - 1;
+            match self.replay.next_ticks.next() {
+                Some(next) => {
                     self.threads[tid.index()].next_due = next;
                     if let Some(obs) = &self.obs {
                         obs.sched_event(
@@ -886,7 +971,7 @@ impl SchedState {
                             k,
                             EventKind::StreamCursor {
                                 stream: StreamId::Queue,
-                                offset: idx as u64,
+                                offset: idx,
                             },
                         );
                     }
@@ -902,7 +987,7 @@ impl SchedState {
                             "a next-tick entry",
                             &format!("QUEUE stream exhausted at critical section {k}"),
                         )
-                        .with_stream("QUEUE", idx as u64)
+                        .with_stream("QUEUE", idx)
                         .with_context(vec![format!("failing thread: T{}", tid.0)]),
                     ));
                 }
@@ -1082,10 +1167,11 @@ impl SchedState {
         }
     }
 
-    /// Targeted wakeup: notify exactly the thread the scheduler wants to
-    /// run next, if it is parked. Called wherever the schedulable set may
-    /// have changed outside a critical section (end of `Tick()`, async
-    /// signal delivery, liveness reschedules).
+    /// Targeted wakeup: wake exactly the thread the scheduler wants to run
+    /// next, if it sleeps (an OS notification only if it is parked).
+    /// Called wherever the schedulable set may have changed outside a
+    /// critical section (end of `Tick()`, async signal delivery, liveness
+    /// reschedules).
     fn wake_next(&mut self) {
         if self.fail.is_some() {
             self.wake_all();
@@ -1112,7 +1198,7 @@ impl SchedState {
             None
         };
         if let Some(t) = target {
-            if self.threads[t.index()].in_wait {
+            if self.wake(t) {
                 self.wakeups_issued += 1;
                 if let Some(m) = &self.metrics {
                     m.wakeups.inc();
@@ -1120,13 +1206,29 @@ impl SchedState {
                 if let Some(obs) = &self.obs {
                     obs.sched_event(t.0, self.tick, EventKind::Wakeup { target: t.0 });
                 }
-                self.threads[t.index()].slot.notify_one();
             }
         }
     }
 
-    /// Broadcast: notify every thread's parking slot. Only for states all
-    /// parked threads must observe (execution failure, replay stall).
+    /// Wakes `t` if it sleeps; returns whether that took an OS wakeup
+    /// (it was parked, not spinning).
+    fn wake(&mut self, t: Tid) -> bool {
+        let st = &mut self.threads[t.index()];
+        match std::mem::replace(&mut st.sleep, Sleep::Awake) {
+            Sleep::Awake => false,
+            Sleep::Spinning => {
+                st.slot.epoch.fetch_add(1, Ordering::Release);
+                false
+            }
+            Sleep::Parked => {
+                st.slot.cv.notify_one();
+                true
+            }
+        }
+    }
+
+    /// Broadcast: wake every thread's slot. Only for states all waiting
+    /// threads must observe (execution failure, replay stall).
     fn wake_all(&mut self) {
         self.broadcasts += 1;
         if let Some(m) = &self.metrics {
@@ -1135,8 +1237,8 @@ impl SchedState {
         if let Some(obs) = &self.obs {
             obs.sched_event(u32::MAX, self.tick, EventKind::Broadcast);
         }
-        for t in &self.threads {
-            t.slot.notify_one();
+        for i in 0..self.threads.len() {
+            self.wake(Tid(i as u32));
         }
     }
 
@@ -1469,20 +1571,13 @@ mod tests {
         }
         let (q, _, _) = s.take_recording();
         assert_eq!(q.first_tick, vec![1]);
-        assert_eq!(q.next_ticks, vec![2, 3, 0]);
+        assert_eq!(q.next_ticks().collect::<Vec<_>>(), vec![2, 3, 0]);
     }
 
     #[test]
     fn queue_replay_enforces_recorded_order() {
         let s = sched(Strategy::Queue);
-        s.enable_replay(
-            &QueueStream {
-                first_tick: vec![1],
-                next_ticks: vec![2, 0],
-            },
-            &[],
-            &[],
-        );
+        s.enable_replay(&QueueStream::new(vec![1], &[2, 0]), &[], &[]);
         assert!(s.is_replaying());
         s.wait(Tid::MAIN);
         s.tick(Tid::MAIN);
@@ -1494,14 +1589,7 @@ mod tests {
     #[test]
     fn queue_replay_underrun_is_hard_desync() {
         let s = sched(Strategy::Queue);
-        s.enable_replay(
-            &QueueStream {
-                first_tick: vec![1],
-                next_ticks: vec![2],
-            },
-            &[],
-            &[],
-        );
+        s.enable_replay(&QueueStream::new(vec![1], &[2]), &[], &[]);
         s.wait(Tid::MAIN);
         s.tick(Tid::MAIN);
         s.wait(Tid::MAIN);
@@ -1798,5 +1886,177 @@ mod tests {
             .downcast_ref::<SchedAbort>()
             .expect("SchedAbort payload");
         assert!(matches!(abort.0, FailReason::ProgramPanic(_)));
+    }
+
+    /// Two threads handing every tick to each other: `rounds` critical
+    /// sections each, on a scheduler for a host with `cpus` CPUs.
+    fn ping_pong(strategy: Strategy, cpus: usize, rounds: u64) -> Arc<Scheduler> {
+        let s = Arc::new(Scheduler::with_cpus(
+            strategy,
+            Prng::from_seeds([3, 5]),
+            cpus,
+        ));
+        s.wait(Tid::MAIN);
+        let t1 = s.thread_new();
+        s.tick(Tid::MAIN);
+        let worker = |s: Arc<Scheduler>, tid: Tid| {
+            move || {
+                for _ in 0..rounds {
+                    s.wait(tid);
+                    s.tick(tid);
+                }
+                s.wait(tid);
+                s.thread_finish(tid);
+                s.tick(tid);
+            }
+        };
+        let h = std::thread::spawn(worker(Arc::clone(&s), t1));
+        worker(Arc::clone(&s), Tid::MAIN)();
+        h.join().unwrap();
+        s
+    }
+
+    #[test]
+    fn spinning_handoffs_lose_no_tick() {
+        // A wakeup that lands while its target spins (or just after the
+        // spin gave up) must not be lost: every critical section runs.
+        const ROUNDS: u64 = 50_000;
+        for strategy in [Strategy::Queue, Strategy::Random] {
+            let s = ping_pong(strategy, 2, ROUNDS);
+            assert!(s.failure().is_none(), "{strategy:?}");
+            let c = s.counters();
+            // Registration, 2 × ROUNDS loop sections, two finishes.
+            assert_eq!(c.ticks, 2 * ROUNDS + 3, "{strategy:?}");
+            assert!(
+                c.wakeups_issued <= c.ticks + c.broadcasts,
+                "{strategy:?} {c:?}"
+            );
+            assert_eq!(c.spurious_wakeups, 0, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn single_cpu_scheduler_parks_without_spinning() {
+        let s = Arc::new(Scheduler::with_cpus(
+            Strategy::Random,
+            Prng::from_seeds([1, 2]),
+            1,
+        ));
+        assert!(!s.state.lock().spin);
+        s.wait(Tid::MAIN);
+        let t1 = s.thread_new();
+        s.tick(Tid::MAIN);
+        // Keep T1 waiting: main stays the active thread.
+        s.state.lock().active = Some(Tid::MAIN);
+        let s2 = Arc::clone(&s);
+        let h = std::thread::spawn(move || {
+            s2.wait(t1);
+            s2.thread_finish(t1);
+            s2.tick(t1);
+        });
+        // Without a spin, T1 marks itself waiting and parks in one hold
+        // of the mutex, so no observer sees it waiting but not parked.
+        loop {
+            let g = s.state.lock();
+            let st = &g.threads[t1.index()];
+            let parked = st.sleep == Sleep::Parked;
+            assert_eq!(st.in_wait, parked, "a 1-CPU waiter never spins");
+            if parked {
+                break;
+            }
+            drop(g);
+            std::thread::yield_now();
+        }
+        s.wait(Tid::MAIN);
+        s.thread_finish(Tid::MAIN);
+        s.tick(Tid::MAIN);
+        h.join().unwrap();
+        assert!(s.failure().is_none());
+        assert!(
+            s.counters().wakeups_issued >= 1,
+            "the parked T1 was notified"
+        );
+        // The handoff protocol itself is unchanged by the missing spin.
+        let s = ping_pong(Strategy::Queue, 1, 2_000);
+        assert!(s.failure().is_none());
+        assert_eq!(s.counters().ticks, 4_003);
+    }
+
+    /// Returns the scheduler's state with `tid` caught in its spin. Only
+    /// the mutex holder can park `tid`, so it stays unparked while the
+    /// returned guard lives.
+    fn caught_spinning(s: &Scheduler, tid: Tid) -> MutexGuard<'_, SchedState> {
+        loop {
+            let mut g = s.state.lock();
+            match g.threads[tid.index()].sleep {
+                Sleep::Spinning => return g,
+                // Send it round again: it finds itself ineligible and
+                // starts a fresh spin.
+                Sleep::Parked => {
+                    g.wake(tid);
+                }
+                Sleep::Awake => {}
+            }
+            drop(g);
+            std::thread::yield_now();
+        }
+    }
+
+    fn aborted_with(h: std::thread::JoinHandle<()>) -> FailReason {
+        let err = h.join().unwrap_err();
+        err.downcast_ref::<SchedAbort>()
+            .expect("SchedAbort payload")
+            .0
+            .clone()
+    }
+
+    #[test]
+    fn deadlock_broadcast_reaches_a_spinning_thread() {
+        let s = Arc::new(Scheduler::with_cpus(
+            Strategy::Random,
+            Prng::from_seeds([1, 2]),
+            2,
+        ));
+        s.wait(Tid::MAIN);
+        let t1 = s.thread_new();
+        s.state.lock().threads[t1.index()].status = Status::Disabled(WaitReason::Mutex(MutexId(0)));
+        s.tick(Tid::MAIN);
+        let s2 = Arc::clone(&s);
+        let h = std::thread::spawn(move || s2.wait(t1));
+        let mut g = caught_spinning(&s, t1);
+        // Main disables itself too: the strategy finds nobody enabled.
+        g.threads[0].status = Status::Disabled(WaitReason::Mutex(MutexId(1)));
+        g.choose_next(Tid::MAIN, 2);
+        g.wake_next();
+        assert_eq!(g.threads[t1.index()].sleep, Sleep::Awake, "woken mid-spin");
+        drop(g);
+        assert!(matches!(aborted_with(h), FailReason::Deadlock));
+    }
+
+    #[test]
+    fn replay_stall_broadcast_reaches_a_spinning_thread() {
+        let s = Arc::new(Scheduler::with_cpus(
+            Strategy::Queue,
+            Prng::from_seeds([1, 2]),
+            2,
+        ));
+        // Main runs tick 1 only; T1 is never due, so once both wait the
+        // demo's schedule cannot go on.
+        s.enable_replay(&QueueStream::new(vec![1, 0], &[0]), &[], &[]);
+        s.wait(Tid::MAIN);
+        let t1 = s.thread_new();
+        s.tick(Tid::MAIN);
+        let s2 = Arc::clone(&s);
+        let h = std::thread::spawn(move || s2.wait(t1));
+        let mut g = caught_spinning(&s, t1);
+        // Main enters Wait() as well, completing the stall.
+        g.threads[0].in_wait = true;
+        g.in_wait_count += 1;
+        g.check_replay_stall();
+        drop(g);
+        match aborted_with(h) {
+            FailReason::Desync(d) => assert_eq!(d.constraint, "schedule-stall"),
+            other => panic!("expected a stall, got {other:?}"),
+        }
     }
 }

@@ -141,7 +141,7 @@ fn random_strategy_stores_no_queue_stream() {
         .setup(figure2_world)
         .record(figure2_client);
     assert!(
-        demo.queue.next_ticks.is_empty(),
+        demo.queue.next_tick_count() == 0,
         "random interleaving is captured by the seeds alone (§4.2)"
     );
 
@@ -149,7 +149,7 @@ fn random_strategy_stores_no_queue_stream() {
         .setup(figure2_world)
         .record(figure2_client);
     assert!(
-        !demo_q.queue.next_ticks.is_empty(),
+        demo_q.queue.next_tick_count() > 0,
         "queue interleaving must be stored"
     );
 }

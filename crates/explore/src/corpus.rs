@@ -431,14 +431,13 @@ mod tests {
 
     #[test]
     fn identical_spooled_demos_share_store_blobs() {
-        use srr_replay::DemoHeader;
+        use srr_replay::{DemoHeader, QueueStream};
         let root = std::env::temp_dir().join(format!("srr-corpus-dedup-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
 
         // Two shards record byte-identical demos into separate spools.
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [3, 5]));
-        demo.queue.first_tick = vec![1, 2];
-        demo.queue.next_ticks = vec![3, 4, 0, 0];
+        demo.queue = QueueStream::new(vec![1, 2], &[3, 4, 0, 0]);
         let spool_a = root.join("t0_s3");
         let spool_b = root.join("t1_s3");
         demo.save_dir(&spool_a).unwrap();

@@ -175,7 +175,7 @@ fn more_workers_than_tasks_is_fine() {
 /// the same hashes.
 #[test]
 fn parallel_shards_with_identical_demos_share_store_blobs() {
-    use srr_replay::{Demo, DemoHeader};
+    use srr_replay::{Demo, DemoHeader, QueueStream};
 
     let root = std::env::temp_dir().join(format!("srr-farm-dedup-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -187,8 +187,7 @@ fn parallel_shards_with_identical_demos_share_store_blobs() {
     let spool_for_runner = spool.clone();
     let runner: Arc<ShardRunner> = Arc::new(move |task| {
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [3, 5]));
-        demo.queue.first_tick = vec![1, 2];
-        demo.queue.next_ticks = vec![3, 4, 0, 0];
+        demo.queue = QueueStream::new(vec![1, 2], &[3, 4, 0, 0]);
         let dir = spool_for_runner.join(format!("t{}_s{}", task.id, task.seed_lo));
         demo.save_dir(&dir).expect("spool demo");
         let mut out = ShardOutput {

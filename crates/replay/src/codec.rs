@@ -45,11 +45,6 @@ pub const MAGIC: [u8; 4] = *b"SRRB";
 /// demo [`FORMAT_VERSION`], which describes the logical stream model).
 pub const CODEC_VERSION: u64 = 1;
 
-/// Hard cap on a single RLE run/repeat expansion. Far above anything a
-/// real recording produces, low enough that a crafted length cannot ask
-/// the decoder for gigabytes before validation catches up.
-const MAX_RUN: u64 = 1 << 28;
-
 /// The streams a demo serializes, with their on-disk file names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
@@ -475,9 +470,12 @@ const TOK_INC_RUN: u8 = 1;
 const TOK_REPEAT: u8 = 2;
 
 fn write_u64_block(out: &mut Vec<u8>, values: &[u64]) {
-    let tokens = rle::u64_tokens(values);
+    write_tokens(out, &rle::u64_tokens(values));
+}
+
+fn write_tokens(out: &mut Vec<u8>, tokens: &[rle::U64Token]) {
     write_varint(out, tokens.len() as u64);
-    for tok in tokens {
+    for &tok in tokens {
         match tok {
             rle::U64Token::Literal(v) => {
                 out.push(TOK_LITERAL);
@@ -498,6 +496,12 @@ fn write_u64_block(out: &mut Vec<u8>, values: &[u64]) {
 }
 
 fn read_u64_block(cur: &mut Cursor<'_>, what: &'static str) -> Result<Vec<u64>, CodecError> {
+    Ok(rle::Expand::new(read_tokens(cur, what)?).collect())
+}
+
+/// Reads a token block without expanding it; the tokens are valid (runs
+/// in range) but not necessarily canonical.
+fn read_tokens(cur: &mut Cursor<'_>, what: &'static str) -> Result<Vec<rle::U64Token>, CodecError> {
     let ntokens = cur.read_varint(what)?;
     // Each token is at least 2 bytes; reject claims the input cannot hold
     // before reserving anything.
@@ -511,32 +515,34 @@ fn read_u64_block(cur: &mut Cursor<'_>, what: &'static str) -> Result<Vec<u64>, 
     for _ in 0..ntokens {
         let at = cur.pos();
         match cur.read_u8(what)? {
-            TOK_LITERAL => out.push(cur.read_varint(what)?),
+            TOK_LITERAL => out.push(rle::U64Token::Literal(cur.read_varint(what)?)),
             TOK_INC_RUN => {
                 let base = cur.read_varint(what)?;
                 let extra = cur.read_varint(what)?;
-                if extra == 0 || extra > MAX_RUN {
+                if extra == 0 || extra > rle::MAX_RUN {
                     return Err(CodecError::Invalid {
                         what: format!("run length {extra} out of range in {what}"),
                         offset: at,
                     });
                 }
-                let end = base.checked_add(extra).ok_or(CodecError::Invalid {
-                    what: format!("run {base}+{extra} overflows in {what}"),
-                    offset: at,
-                })?;
-                out.extend(base..=end);
+                if base.checked_add(extra).is_none() {
+                    return Err(CodecError::Invalid {
+                        what: format!("run {base}+{extra} overflows in {what}"),
+                        offset: at,
+                    });
+                }
+                out.push(rle::U64Token::IncRun { base, extra });
             }
             TOK_REPEAT => {
                 let value = cur.read_varint(what)?;
                 let count = cur.read_varint(what)?;
-                if !(2..=MAX_RUN).contains(&count) {
+                if !(2..=rle::MAX_RUN).contains(&count) {
                     return Err(CodecError::Invalid {
                         what: format!("repeat count {count} out of range in {what}"),
                         offset: at,
                     });
                 }
-                out.resize(out.len() + count as usize, value);
+                out.push(rle::U64Token::Repeat { value, count });
             }
             tag => {
                 return Err(CodecError::Invalid {
@@ -593,19 +599,16 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<DemoHeader, CodecError> {
 pub(crate) fn encode_queue(q: &QueueStream) -> Vec<u8> {
     let mut out = Vec::new();
     write_u64_block(&mut out, &q.first_tick);
-    write_u64_block(&mut out, &q.next_ticks);
+    write_tokens(&mut out, q.next_tick_tokens());
     out
 }
 
 pub(crate) fn decode_queue(payload: &[u8]) -> Result<QueueStream, CodecError> {
     let mut cur = Cursor::new(payload);
     let first_tick = read_u64_block(&mut cur, "QUEUE first ticks")?;
-    let next_ticks = read_u64_block(&mut cur, "QUEUE next ticks")?;
+    let next_ticks = read_tokens(&mut cur, "QUEUE next ticks")?;
     expect_end(&cur)?;
-    Ok(QueueStream {
-        first_tick,
-        next_ticks,
-    })
+    Ok(QueueStream::from_tokens(first_tick, next_ticks))
 }
 
 pub(crate) fn encode_signals(events: &[SignalEvent]) -> Vec<u8> {

@@ -448,7 +448,7 @@ impl Demo {
     pub fn stats(&self) -> DemoStats {
         DemoStats {
             strategy: self.header.strategy.clone(),
-            queue_entries: self.queue.next_ticks.len(),
+            queue_entries: self.queue.next_tick_count(),
             signals: self.signals.len(),
             syscalls: self.syscalls.len(),
             async_events: self.async_events.len(),
@@ -598,10 +598,7 @@ mod tests {
 
     fn sample_demo() -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
-        d.queue = QueueStream {
-            first_tick: vec![1, 2],
-            next_ticks: vec![3, 4, 0, 0],
-        };
+        d.queue = QueueStream::new(vec![1, 2], &[3, 4, 0, 0]);
         d.signals.push(SignalEvent {
             tid: 1,
             tick: 5,
@@ -647,6 +644,20 @@ mod tests {
         let map = d.to_string_map();
         let back = Demo::from_string_map(&map).unwrap();
         assert_eq!(back, d);
+    }
+
+    #[test]
+    fn non_canonical_queue_text_loads_equal_by_value() {
+        // `3 4` is the run `3+1` spelled out; a hand-written QUEUE may
+        // split or spell runs any way and still load equal to the demo.
+        let d = sample_demo();
+        let mut map = d.to_string_map();
+        assert_eq!(map["QUEUE"], "first 1+1\nticks 3+1 0*2\n");
+        map.insert("QUEUE".into(), "first 1 2\nticks 3 4 0 0\n".into());
+        let loaded = Demo::from_string_map(&map).unwrap();
+        assert_eq!(loaded, d);
+        assert_eq!(loaded.to_string_map(), d.to_string_map());
+        assert_eq!(loaded.to_bytes_map(), d.to_bytes_map());
     }
 
     #[test]

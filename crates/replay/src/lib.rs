@@ -62,5 +62,5 @@ pub use codec::{CodecError, StreamId};
 pub use demo::{Demo, DemoFormat, DemoHeader, DemoLoadError, DemoStats, FORMAT_VERSION};
 pub use desync::{DesyncKind, HardDesync, SoftDesync};
 pub use store::{DemoStore, StreamHash, StreamHashes};
-pub use streams::{AsyncEvent, QueueStream, SignalEvent, SyscallRecord};
+pub use streams::{AsyncEvent, QueueStream, ScheduleRuns, SignalEvent, SyscallRecord};
 pub use validate::DemoViolation;

@@ -16,6 +16,12 @@
 
 use std::fmt::Write as _;
 
+/// Hard cap on the length of one RLE run or repeat read from a demo, in
+/// either form. Far above anything a real recording produces, low enough
+/// that a crafted length cannot ask the decoder for gigabytes before
+/// validation catches up.
+pub const MAX_RUN: u64 = 1 << 28;
+
 /// One RLE token of the integer codec. The token model is shared by the
 /// text form (this module) and the binary form ([`crate::codec`]), so
 /// the two formats compress identically and text→bin→text is lossless.
@@ -40,66 +46,225 @@ pub enum U64Token {
     },
 }
 
-/// Tokenizes an integer sequence with the run-detection heuristic shared
-/// by both codecs: prefer the longest arithmetic(+1) run, else the
-/// longest constant run, else a literal.
-#[must_use]
-pub fn u64_tokens(values: &[u64]) -> Vec<U64Token> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        // Longest arithmetic(+1) run from i.
-        let mut inc = 1;
-        while i + inc < values.len() && values[i + inc] == v + inc as u64 {
-            inc += 1;
-        }
-        // Longest constant run from i.
-        let mut rep = 1;
-        while i + rep < values.len() && values[i + rep] == v {
-            rep += 1;
-        }
-        if inc >= rep && inc > 1 {
-            out.push(U64Token::IncRun {
-                base: v,
-                extra: (inc - 1) as u64,
-            });
-            i += inc;
-        } else if rep > 1 {
-            out.push(U64Token::Repeat {
-                value: v,
-                count: rep as u64,
-            });
-            i += rep;
-        } else {
-            out.push(U64Token::Literal(v));
-            i += 1;
+impl U64Token {
+    /// How many values the token stands for.
+    #[must_use]
+    pub fn count(self) -> u64 {
+        match self {
+            U64Token::Literal(_) => 1,
+            U64Token::IncRun { extra, .. } => extra + 1,
+            U64Token::Repeat { count, .. } => count,
         }
     }
-    out
+
+    /// The token's value at index `i < count()`.
+    #[must_use]
+    pub fn value_at(self, i: u64) -> u64 {
+        match self {
+            U64Token::Literal(v) | U64Token::Repeat { value: v, .. } => v,
+            U64Token::IncRun { base, .. } => base + i,
+        }
+    }
+
+    /// The token for this token's first `n` values, `1 ≤ n ≤ count()`.
+    #[must_use]
+    pub fn head(self, n: u64) -> U64Token {
+        match self {
+            _ if n == 1 => U64Token::Literal(self.value_at(0)),
+            U64Token::IncRun { base, .. } => U64Token::IncRun { base, extra: n - 1 },
+            U64Token::Repeat { value, .. } => U64Token::Repeat { value, count: n },
+            U64Token::Literal(v) => U64Token::Literal(v),
+        }
+    }
+}
+
+/// Builds the canonical tokens of an integer sequence fed value by value
+/// ([`Tokenizer::push`]) or token by token ([`Tokenizer::push_token`],
+/// which costs O(1) per token, not per value). Canonical is the greedy
+/// heuristic both codecs share: from each position take the longest
+/// arithmetic(+1) run, else the longest constant run, else a literal.
+/// Two sequences are equal exactly when their canonical tokens are.
+#[derive(Clone, Debug, Default)]
+pub struct Tokenizer {
+    done: Vec<U64Token>,
+    /// The last token, still open to extension.
+    open: Option<U64Token>,
+}
+
+impl Tokenizer {
+    /// Appends one value.
+    pub fn push(&mut self, v: u64) {
+        let Some(open) = &mut self.open else {
+            self.open = Some(U64Token::Literal(v));
+            return;
+        };
+        *open = match *open {
+            U64Token::Literal(x) if x.checked_add(1) == Some(v) => {
+                U64Token::IncRun { base: x, extra: 1 }
+            }
+            U64Token::Literal(x) if x == v => U64Token::Repeat { value: x, count: 2 },
+            U64Token::IncRun { base, extra } if base.checked_add(extra + 1) == Some(v) => {
+                U64Token::IncRun {
+                    base,
+                    extra: extra + 1,
+                }
+            }
+            U64Token::Repeat { value, count } if value == v => U64Token::Repeat {
+                value,
+                count: count + 1,
+            },
+            closed => {
+                self.done.push(closed);
+                U64Token::Literal(v)
+            }
+        };
+    }
+
+    /// Appends every value of `tok`. At most three values go through
+    /// [`Tokenizer::push`]; by then the open token is a run of `tok`'s
+    /// kind and takes the rest at once.
+    pub fn push_token(&mut self, tok: U64Token) {
+        let n = tok.count();
+        for i in 0..n {
+            let v = tok.value_at(i);
+            match (&mut self.open, tok) {
+                (Some(U64Token::IncRun { base, extra }), U64Token::IncRun { .. })
+                    if base.checked_add(*extra + 1) == Some(v) =>
+                {
+                    *extra += n - i;
+                    return;
+                }
+                (Some(U64Token::Repeat { value, count }), U64Token::Repeat { .. })
+                    if *value == v =>
+                {
+                    *count += n - i;
+                    return;
+                }
+                _ => self.push(v),
+            }
+        }
+    }
+
+    /// The canonical tokens of everything pushed.
+    #[must_use]
+    pub fn finish(mut self) -> Vec<U64Token> {
+        self.done.extend(self.open);
+        self.done
+    }
+}
+
+/// The values of a token sequence, expanded one at a time.
+#[derive(Clone, Debug, Default)]
+pub struct Expand<I> {
+    tokens: I,
+    current: Option<U64Token>,
+    /// Values already taken from `current`.
+    taken: u64,
+}
+
+impl<I: Iterator<Item = U64Token>> Expand<I> {
+    /// Expands `tokens`.
+    pub fn new(tokens: impl IntoIterator<IntoIter = I>) -> Self {
+        Expand {
+            tokens: tokens.into_iter(),
+            current: None,
+            taken: 0,
+        }
+    }
+}
+
+impl<I: Iterator<Item = U64Token>> Iterator for Expand<I> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        loop {
+            match self.current {
+                Some(tok) if self.taken < tok.count() => {
+                    self.taken += 1;
+                    return Some(tok.value_at(self.taken - 1));
+                }
+                _ => {
+                    self.current = Some(self.tokens.next()?);
+                    self.taken = 0;
+                }
+            }
+        }
+    }
+}
+
+/// Tokenizes an integer sequence into its canonical tokens (see
+/// [`Tokenizer`]).
+#[must_use]
+pub fn u64_tokens(values: &[u64]) -> Vec<U64Token> {
+    let mut t = Tokenizer::default();
+    for &v in values {
+        t.push(v);
+    }
+    t.finish()
 }
 
 /// Encodes an integer sequence into the token text form.
 #[must_use]
 pub fn encode_u64s(values: &[u64]) -> String {
+    format_tokens(&u64_tokens(values))
+}
+
+/// The token text form of `tokens`: space-separated `N`, `N+K`, `N*K`.
+#[must_use]
+pub fn format_tokens(tokens: &[U64Token]) -> String {
     let mut out = String::new();
-    for tok in u64_tokens(values) {
+    for tok in tokens {
         if !out.is_empty() {
             out.push(' ');
         }
-        match tok {
-            U64Token::Literal(v) => {
-                let _ = write!(out, "{v}");
-            }
-            U64Token::IncRun { base, extra } => {
-                let _ = write!(out, "{base}+{extra}");
-            }
-            U64Token::Repeat { value, count } => {
-                let _ = write!(out, "{value}*{count}");
-            }
-        }
+        let _ = match *tok {
+            U64Token::Literal(v) => write!(out, "{v}"),
+            U64Token::IncRun { base, extra } => write!(out, "{base}+{extra}"),
+            U64Token::Repeat { value, count } => write!(out, "{value}*{count}"),
+        };
     }
     out
+}
+
+/// Parses the token text form without expanding it. The tokens are as
+/// written, not necessarily canonical (`3+1 5` is accepted).
+///
+/// # Errors
+///
+/// Returns a description of the first malformed token.
+pub fn parse_tokens(text: &str) -> Result<Vec<U64Token>, String> {
+    text.split_whitespace()
+        .map(|tok| {
+            let num = |s: &str, what: &str| {
+                s.parse::<u64>()
+                    .map_err(|_| format!("bad {what} in `{tok}`"))
+            };
+            if let Some((base, k)) = tok.split_once('+') {
+                let (base, extra) = (num(base, "run base")?, num(k, "run length")?);
+                if extra > MAX_RUN || base.checked_add(extra).is_none() {
+                    return Err(format!("run out of range in `{tok}`"));
+                }
+                Ok(if extra == 0 {
+                    U64Token::Literal(base)
+                } else {
+                    U64Token::IncRun { base, extra }
+                })
+            } else if let Some((value, k)) = tok.split_once('*') {
+                let (value, count) = (num(value, "repeat base")?, num(k, "repeat count")?);
+                if count < 2 {
+                    return Err(format!("repeat count must be >= 2 in `{tok}`"));
+                }
+                if count > MAX_RUN {
+                    return Err(format!("repeat count out of range in `{tok}`"));
+                }
+                Ok(U64Token::Repeat { value, count })
+            } else {
+                tok.parse()
+                    .map(U64Token::Literal)
+                    .map_err(|_| format!("bad literal `{tok}`"))
+            }
+        })
+        .collect()
 }
 
 /// Decodes the token text form produced by [`encode_u64s`].
@@ -108,32 +273,7 @@ pub fn encode_u64s(values: &[u64]) -> String {
 ///
 /// Returns a description of the first malformed token.
 pub fn decode_u64s(text: &str) -> Result<Vec<u64>, String> {
-    let mut out = Vec::new();
-    for tok in text.split_whitespace() {
-        if let Some((base, k)) = tok.split_once('+') {
-            let base: u64 = base
-                .parse()
-                .map_err(|_| format!("bad run base in `{tok}`"))?;
-            let k: u64 = k
-                .parse()
-                .map_err(|_| format!("bad run length in `{tok}`"))?;
-            out.extend((0..=k).map(|d| base + d));
-        } else if let Some((base, k)) = tok.split_once('*') {
-            let base: u64 = base
-                .parse()
-                .map_err(|_| format!("bad repeat base in `{tok}`"))?;
-            let k: usize = k
-                .parse()
-                .map_err(|_| format!("bad repeat count in `{tok}`"))?;
-            if k < 2 {
-                return Err(format!("repeat count must be >= 2 in `{tok}`"));
-            }
-            out.resize(out.len() + k, base);
-        } else {
-            out.push(tok.parse().map_err(|_| format!("bad literal `{tok}`"))?);
-        }
-    }
-    Ok(out)
+    Ok(Expand::new(parse_tokens(text)?).collect())
 }
 
 /// Minimum run length worth a run chunk in the byte codec.
@@ -297,6 +437,11 @@ mod tests {
         assert!(decode_u64s("abc").is_err());
         assert!(decode_u64s("5+x").is_err());
         assert!(decode_u64s("5*1").is_err());
+        // Runs too long to come from a recording, or past u64::MAX.
+        assert!(parse_tokens(&format!("0+{}", MAX_RUN + 1)).is_err());
+        assert!(parse_tokens(&format!("0*{}", MAX_RUN + 1)).is_err());
+        assert!(parse_tokens(&format!("{}+1", u64::MAX)).is_err());
+        assert_eq!(parse_tokens("7+0").unwrap(), [U64Token::Literal(7)]);
     }
 
     #[test]

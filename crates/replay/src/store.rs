@@ -332,7 +332,7 @@ fn validate_id(id: &str) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::demo::DemoHeader;
-    use crate::streams::SyscallRecord;
+    use crate::streams::{QueueStream, SyscallRecord};
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("srr-store-{tag}-{}", std::process::id()));
@@ -342,8 +342,7 @@ mod tests {
 
     fn demo_with_syscall(strategy: &str, payload: &[u8]) -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", strategy, [7, 9]));
-        d.queue.first_tick = vec![1];
-        d.queue.next_ticks = vec![0];
+        d.queue = QueueStream::new(vec![1], &[0]);
         d.syscalls.push(SyscallRecord {
             seq: 0,
             tid: 0,
@@ -387,8 +386,7 @@ mod tests {
         let mut store = DemoStore::open(&root).unwrap();
         let a = demo_with_syscall("queue", b"hello");
         let mut b = a.clone();
-        b.queue.next_ticks = vec![2, 0]; // only the QUEUE differs
-        b.queue.first_tick = vec![1, 2];
+        b.queue = QueueStream::new(vec![1, 2], &[2, 0]); // only the QUEUE differs
         let ha = store.insert("a", &a).unwrap();
         let hb = store.insert("b", &b).unwrap();
         assert_eq!(ha["HEADER"], hb["HEADER"]);
@@ -404,8 +402,7 @@ mod tests {
         let mut store = DemoStore::open(&root).unwrap();
         let a = demo_with_syscall("queue", b"hello");
         let mut b = a.clone();
-        b.queue.first_tick = vec![1];
-        b.queue.next_ticks = vec![2, 0];
+        b.queue = QueueStream::new(vec![1], &[2, 0]);
         store.insert("a", &a).unwrap();
         store.insert("b", &b).unwrap();
         assert!(store.remove("a").unwrap());

@@ -1,10 +1,9 @@
 //! Typed events for the demo streams, with their line formats.
 
-use std::collections::HashMap;
 use std::str::{FromStr, SplitWhitespace};
 
 use crate::demo::DemoLoadError;
-use crate::rle;
+use crate::rle::{self, Tokenizer, U64Token};
 
 /// An asynchronous signal pinned to logical time (§4.3).
 ///
@@ -159,29 +158,90 @@ impl AsyncEvent {
 /// The queue-strategy interleaving (§4.2).
 ///
 /// `first_tick[i]` holds, for each thread in creation order, the first tick
-/// at which the thread is scheduled (0 = never scheduled). `next_ticks[k]`
-/// is consumed by whichever thread leaves the critical section of tick
-/// `k + 1` and names that thread's next scheduled tick (0 = never again).
-/// Critical sections are totally ordered, so "order of leaving" equals tick
-/// order and a dense vector indexed by tick suffices.
+/// at which the thread is scheduled (0 = never scheduled). Entry `k` of
+/// the next-tick list is consumed by whichever thread leaves the critical
+/// section of tick `k + 1` and names that thread's next scheduled tick
+/// (0 = never again). Critical sections are totally ordered, so "order of
+/// leaving" equals tick order and a dense list indexed by tick suffices.
+///
+/// The next-tick list has one entry per tick, but a thread that runs
+/// consecutive ticks contributes the run `k+1, k+2, …`, so the list is
+/// kept as its canonical RLE runs ([`rle::Tokenizer`]) and never
+/// expanded: its memory grows with context switches, not with ticks.
+/// Canonical runs make equality by value.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueueStream {
     /// First scheduled tick per thread id (index = tid).
     pub first_tick: Vec<u64>,
-    /// Next-tick consumed on leaving the critical section of tick `k+1`.
-    pub next_ticks: Vec<u64>,
+    /// The next-tick list as canonical runs.
+    next_ticks: Vec<U64Token>,
+    /// Entries in the next-tick list.
+    len: usize,
 }
 
 impl QueueStream {
+    /// A stream from its first-tick table and expanded next-tick list.
+    #[must_use]
+    pub fn new(first_tick: Vec<u64>, next_ticks: &[u64]) -> Self {
+        Self::from_tokens(first_tick, rle::u64_tokens(next_ticks))
+    }
+
+    /// A stream whose next-tick list is `tokens`, canonical or not.
+    #[must_use]
+    pub fn from_tokens(first_tick: Vec<u64>, tokens: impl IntoIterator<Item = U64Token>) -> Self {
+        let mut t = Tokenizer::default();
+        for tok in tokens {
+            t.push_token(tok);
+        }
+        let next_ticks = t.finish();
+        let len = next_ticks.iter().map(|t| t.count() as usize).sum();
+        QueueStream {
+            first_tick,
+            next_ticks,
+            len,
+        }
+    }
+
+    /// The next-tick list's canonical runs.
+    #[must_use]
+    pub fn next_tick_tokens(&self) -> &[U64Token] {
+        &self.next_ticks
+    }
+
+    /// The next-tick list, expanded lazily.
+    pub fn next_ticks(&self) -> impl Iterator<Item = u64> + '_ {
+        rle::Expand::new(self.next_ticks.iter().copied())
+    }
+
+    /// Entries in the next-tick list: one per recorded critical section.
+    #[must_use]
+    pub fn next_tick_count(&self) -> usize {
+        self.len
+    }
+
+    /// Keeps only the first `n` next-tick entries (all of them if there
+    /// are fewer).
+    pub fn truncate_next_ticks(&mut self, n: usize) {
+        let mut left = n as u64;
+        let mut kept = Vec::new();
+        for &tok in &self.next_ticks {
+            if left == 0 {
+                break;
+            }
+            let take = tok.count().min(left);
+            kept.push(tok.head(take));
+            left -= take;
+        }
+        self.len = n.min(self.len);
+        self.next_ticks = kept;
+    }
+
     pub(crate) fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("first ");
-        out.push_str(&rle::encode_u64s(&self.first_tick));
-        out.push('\n');
-        out.push_str("ticks ");
-        out.push_str(&rle::encode_u64s(&self.next_ticks));
-        out.push('\n');
-        out
+        format!(
+            "first {}\nticks {}\n",
+            rle::encode_u64s(&self.first_tick),
+            rle::format_tokens(&self.next_ticks)
+        )
     }
 
     /// Parses the text form. Errors carry the 1-based line they were
@@ -202,12 +262,13 @@ impl QueueStream {
             if slot.is_some() {
                 return Err(at(format!("duplicate `{name}` line")));
             }
-            *slot = Some(rle::decode_u64s(rest).map_err(at)?);
+            *slot = Some(rle::parse_tokens(rest).map_err(at)?);
         }
-        Ok(QueueStream {
-            first_tick: first.unwrap_or_default(),
-            next_ticks: ticks.unwrap_or_default(),
-        })
+        let first_tick = rle::Expand::new(first.unwrap_or_default()).collect();
+        Ok(QueueStream::from_tokens(
+            first_tick,
+            ticks.unwrap_or_default(),
+        ))
     }
 
     /// Builds the stream from an explicit schedule: `(tid, tick)` pairs
@@ -220,51 +281,94 @@ impl QueueStream {
     /// keep the 0 ("never") sentinel.
     #[must_use]
     pub fn from_order(order: &[(u32, u64)], nthreads: usize) -> Self {
-        let mut first_tick = vec![0u64; nthreads];
-        let mut last_cs_of_thread: HashMap<u32, usize> = HashMap::new();
-        let mut next_ticks = vec![0u64; order.len()];
-        for (idx, &(tid, tick)) in order.iter().enumerate() {
-            if let Some(slot) = first_tick.get_mut(tid as usize) {
-                if *slot == 0 {
-                    *slot = tick;
-                }
-            }
-            if let Some(&prev) = last_cs_of_thread.get(&tid) {
-                next_ticks[prev] = tick;
-            }
-            last_cs_of_thread.insert(tid, idx);
+        let mut runs = ScheduleRuns::default();
+        for &(tid, tick) in order {
+            runs.push(tid, tick);
         }
-        QueueStream {
-            first_tick,
-            next_ticks,
-        }
+        runs.into_queue(nthreads)
     }
 
     /// Returns `true` if no scheduling information was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.first_tick.is_empty() && self.next_ticks.is_empty()
+        self.first_tick.is_empty() && self.len == 0
     }
 
     /// Reconstructs the recorded schedule as `(tid, tick)` pairs in tick
     /// order, by walking the per-thread due ticks the way replay does:
-    /// the thread due at tick `k` runs cs `k` and then consumes
-    /// `next_ticks[k-1]` as its next due tick. Stops at the first tick no
+    /// the thread due at tick `k` runs cs `k` and then consumes next-tick
+    /// entry `k-1` as its next due tick. Stops at the first tick no
     /// thread is due for (a corrupt or truncated stream ends the walk
     /// early rather than erroring — diagnostics compare against whatever
     /// prefix is reconstructible).
     #[must_use]
     pub fn schedule_order(&self) -> Vec<(u32, u64)> {
         let mut due = self.first_tick.clone();
-        let mut out = Vec::with_capacity(self.next_ticks.len());
-        for k in 1..=self.next_ticks.len() as u64 {
+        let mut out = Vec::new();
+        for (k, next) in (1u64..).zip(self.next_ticks()) {
             let Some(tid) = due.iter().position(|&d| d == k) else {
                 break;
             };
             out.push((tid as u32, k));
-            due[tid] = self.next_ticks[(k - 1) as usize];
+            due[tid] = next;
         }
         out
+    }
+}
+
+/// A schedule as the recorder keeps it: `(tid, first tick, length)` runs
+/// of consecutive ticks by one thread, in tick order. It grows with
+/// context switches, not with ticks.
+#[derive(Clone, Debug, Default)]
+pub struct ScheduleRuns(Vec<(u32, u64, u64)>);
+
+impl ScheduleRuns {
+    /// Appends `tick`, run by `tid`.
+    pub fn push(&mut self, tid: u32, tick: u64) {
+        match self.0.last_mut() {
+            Some((t, first, len)) if *t == tid && *first + *len == tick => *len += 1,
+            _ => self.0.push((tid, tick, 1)),
+        }
+    }
+
+    /// The schedule's QUEUE stream (§4.2), built in time and memory
+    /// linear in the runs; `nthreads` sizes the `first_tick` table as in
+    /// [`QueueStream::from_order`].
+    #[must_use]
+    pub fn into_queue(self, nthreads: usize) -> QueueStream {
+        let runs = self.0;
+        // The tick each run's thread runs after the run: the first tick of
+        // its next run (0 = never), found walking the runs backwards.
+        let tids = runs.iter().map(|r| r.0 as usize + 1).max().unwrap_or(0);
+        let mut next_start = vec![0u64; tids];
+        let mut after: Vec<u64> = runs
+            .iter()
+            .rev()
+            .map(|&(tid, first, _)| std::mem::replace(&mut next_start[tid as usize], first))
+            .collect();
+        after.reverse();
+        let mut first_tick = vec![0u64; nthreads];
+        for (slot, start) in first_tick.iter_mut().zip(next_start) {
+            *slot = start;
+        }
+        // Inside a run the thread's next tick is always the next tick.
+        let mut t = Tokenizer::default();
+        for (&(_, first, len), next) in runs.iter().zip(after) {
+            if len > 1 {
+                t.push_token(U64Token::IncRun {
+                    base: first + 1,
+                    extra: len - 2,
+                });
+            }
+            t.push(next);
+        }
+        let next_ticks = t.finish();
+        let len = runs.iter().map(|r| r.2 as usize).sum();
+        QueueStream {
+            first_tick,
+            next_ticks,
+            len,
+        }
     }
 }
 
@@ -415,10 +519,7 @@ mod tests {
 
     #[test]
     fn queue_stream_roundtrips() {
-        let q = QueueStream {
-            first_tick: vec![1, 2, 9],
-            next_ticks: vec![3, 4, 5, 0, 0],
-        };
+        let q = QueueStream::new(vec![1, 2, 9], &[3, 4, 5, 0, 0]);
         let text = q.to_text();
         assert_eq!(QueueStream::from_text(&text).unwrap(), q);
         assert!(!q.is_empty());
@@ -426,18 +527,37 @@ mod tests {
     }
 
     #[test]
+    fn queue_text_tokens_canonicalize_on_load() {
+        let q = QueueStream::from_text("first 1 2\nticks 3+1 5 0 0\n").unwrap();
+        assert_eq!(q, QueueStream::new(vec![1, 2], &[3, 4, 5, 0, 0]));
+        assert_eq!(
+            q.next_tick_tokens(),
+            [
+                U64Token::IncRun { base: 3, extra: 2 },
+                U64Token::Repeat { value: 0, count: 2 }
+            ]
+        );
+        assert_eq!(q.to_text(), "first 1+1\nticks 3+2 0*2\n");
+    }
+
+    #[test]
+    fn truncation_keeps_canonical_runs() {
+        let mut q = QueueStream::new(vec![1], &[2, 3, 4, 0]);
+        q.truncate_next_ticks(2);
+        assert_eq!(q, QueueStream::new(vec![1], &[2, 3]));
+        q.truncate_next_ticks(1);
+        assert_eq!(q.next_tick_tokens(), [U64Token::Literal(2)]);
+        q.truncate_next_ticks(5);
+        assert_eq!(q.next_tick_count(), 1);
+    }
+
+    #[test]
     fn queue_stream_schedule_order() {
         // T0 runs ticks 1,3; T1 runs ticks 2,4; then both retire (0).
-        let q = QueueStream {
-            first_tick: vec![1, 2],
-            next_ticks: vec![3, 4, 0, 0],
-        };
+        let q = QueueStream::new(vec![1, 2], &[3, 4, 0, 0]);
         assert_eq!(q.schedule_order(), vec![(0, 1), (1, 2), (0, 3), (1, 4)]);
         // Truncating the stream truncates the reconstructible prefix.
-        let cut = QueueStream {
-            first_tick: vec![1, 2],
-            next_ticks: vec![3, 4],
-        };
+        let cut = QueueStream::new(vec![1, 2], &[3, 4]);
         assert_eq!(cut.schedule_order(), vec![(0, 1), (1, 2)]);
         assert!(QueueStream::default().schedule_order().is_empty());
     }
@@ -445,25 +565,19 @@ mod tests {
     #[test]
     fn from_order_inverts_schedule_order() {
         // Dense ticks 1..=8: T0 runs 1,3,5; T1 runs 2,4,6; T2 runs 7,8.
-        let q = QueueStream {
-            first_tick: vec![1, 2, 7],
-            next_ticks: vec![3, 4, 5, 6, 0, 0, 8, 0],
-        };
+        let q = QueueStream::new(vec![1, 2, 7], &[3, 4, 5, 6, 0, 0, 8, 0]);
         let order = q.schedule_order();
         assert_eq!(QueueStream::from_order(&order, 3), q);
         // Unscheduled threads keep the 0 sentinel.
         let q = QueueStream::from_order(&[(0, 1), (2, 2)], 4);
         assert_eq!(q.first_tick, vec![1, 0, 2, 0]);
-        assert_eq!(q.next_ticks, vec![0, 0]);
+        assert_eq!(q.next_ticks().collect::<Vec<_>>(), vec![0, 0]);
         assert_eq!(QueueStream::from_order(&[], 0), QueueStream::default());
     }
 
     #[test]
     fn queue_stream_uses_rle() {
-        let q = QueueStream {
-            first_tick: vec![1],
-            next_ticks: (2..1000).collect(),
-        };
+        let q = QueueStream::new(vec![1], &(2..1000).collect::<Vec<_>>());
         let text = q.to_text();
         assert!(text.len() < 40, "RLE should collapse the run: {text}");
     }

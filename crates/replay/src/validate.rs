@@ -110,7 +110,7 @@ impl Demo {
     fn validate_queue(&self, out: &mut Vec<DemoViolation>) {
         let q = &self.queue;
         let threads = q.first_tick.len();
-        let total = q.next_ticks.len() as u64;
+        let total = q.next_tick_count() as u64;
         if total == 0 {
             if let Some(tid) = q.first_tick.iter().position(|&t| t != 0) {
                 let msg = "first-tick entries but no next-tick list".to_owned();
@@ -121,7 +121,7 @@ impl Demo {
         // Ticks are 1-based and dense: with T critical sections every
         // tick in 1..=T is scheduled by exactly one claim. Bit t-1 of the
         // map records a claim on tick t.
-        let words = q.next_ticks.len().div_ceil(64);
+        let words = q.next_tick_count().div_ceil(64);
         let mut stack = [0u64; STACK_TICKS / 64];
         let mut heap = Vec::new();
         let claimed: &mut [u64] = if words <= stack.len() {
@@ -135,7 +135,7 @@ impl Demo {
                 bad_claim(out, tid + 1, Claim::First(tid), tick, total);
             }
         }
-        for (cs, &tick) in (1u64..).zip(&q.next_ticks) {
+        for (cs, tick) in (1u64..).zip(q.next_ticks()) {
             // 0 means the thread is never scheduled again.
             if tick != 0 && (tick <= cs || !claim(claimed, tick, total)) {
                 bad_claim(out, threads + cs as usize, Claim::Next(cs), tick, total);
@@ -267,10 +267,7 @@ mod tests {
     fn sample_demo() -> Demo {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
         // Two threads: t0 runs ticks 1,2 then 4; t1 runs tick 3.
-        d.queue = QueueStream {
-            first_tick: vec![1, 3],
-            next_ticks: vec![2, 4, 0, 0],
-        };
+        d.queue = QueueStream::new(vec![1, 3], &[2, 4, 0, 0]);
         d.signals.push(SignalEvent {
             tid: 1,
             tick: 3,
@@ -376,10 +373,7 @@ mod tests {
     fn queue_double_claim_and_hole_are_caught() {
         let mut d = sample_demo();
         // Both threads claim tick 1; tick 3 is claimed nowhere.
-        d.queue = QueueStream {
-            first_tick: vec![1, 1],
-            next_ticks: vec![2, 4, 0, 0],
-        };
+        d.queue = QueueStream::new(vec![1, 1], &[2, 4, 0, 0]);
         let v = invalid(&d);
         // Thread 1's first tick is entry 2; tick 3's own critical
         // section is entry 2 + 3.
@@ -396,10 +390,7 @@ mod tests {
     fn queue_next_tick_must_be_in_the_future() {
         let mut d = sample_demo();
         // CS 2's next-tick entry names tick 2 (not strictly later).
-        d.queue = QueueStream {
-            first_tick: vec![1, 3],
-            next_ticks: vec![2, 2, 0, 0],
-        };
+        d.queue = QueueStream::new(vec![1, 3], &[2, 2, 0, 0]);
         let v = invalid(&d);
         assert_eq!(places(&v), [("QUEUE", 4), ("QUEUE", 6)]);
         assert_eq!(
@@ -412,10 +403,7 @@ mod tests {
     #[test]
     fn queue_out_of_range_tick_is_caught() {
         let mut d = sample_demo();
-        d.queue = QueueStream {
-            first_tick: vec![1, 9],
-            next_ticks: vec![2, 3, 4, 0],
-        };
+        d.queue = QueueStream::new(vec![1, 9], &[2, 3, 4, 0]);
         let v = invalid(&d);
         assert_eq!(places(&v), [("QUEUE", 2)]);
         assert_eq!(
@@ -427,10 +415,7 @@ mod tests {
     #[test]
     fn first_ticks_need_a_next_tick_list() {
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [7, 9]));
-        d.queue = QueueStream {
-            first_tick: vec![0, 3],
-            next_ticks: vec![],
-        };
+        d.queue = QueueStream::new(vec![0, 3], &[]);
         let v = invalid(&d);
         assert_eq!(places(&v), [("QUEUE", 2)]);
         assert_eq!(v[0].message, "first-tick entries but no next-tick list");
@@ -443,14 +428,13 @@ mod tests {
         // still found.
         let total = STACK_TICKS as u64 + 100;
         let mut d = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 1]));
-        d.queue = QueueStream {
-            first_tick: vec![1],
-            next_ticks: (2..=total).chain([0]).collect(),
-        };
+        let mut next: Vec<u64> = (2..=total).chain([0]).collect();
+        d.queue = QueueStream::new(vec![1], &next);
         assert!(d.validate().is_empty());
         // Critical section 65542 jumps to the last tick: 65543 is never
         // scheduled and section 65635's claim on the last tick repeats.
-        d.queue.next_ticks[65541] = total;
+        next[65541] = total;
+        d.queue = QueueStream::new(vec![1], &next);
         let v = d.validate();
         assert_eq!(places(&v), [("QUEUE", 1 + 65635), ("QUEUE", 1 + 65543)]);
         assert_eq!(

@@ -2,10 +2,29 @@
 //! and loading accepts exactly the demos [`Demo::validate`] accepts.
 
 use proptest::prelude::*;
-use srr_replay::rle;
+use srr_replay::rle::{self, U64Token};
 use srr_replay::{
-    AsyncEvent, Demo, DemoHeader, DemoLoadError, QueueStream, SignalEvent, SyscallRecord,
+    AsyncEvent, Demo, DemoHeader, DemoLoadError, QueueStream, ScheduleRuns, SignalEvent,
+    SyscallRecord,
 };
+
+/// The QUEUE tables of a schedule (`order[i]` runs tick `i + 1`), built
+/// tick by tick: the first tick per thread and the expanded next-tick
+/// list. The reference the run-based builders are held to.
+fn expanded_queue(nthreads: usize, order: &[usize]) -> (Vec<u64>, Vec<u64>) {
+    let mut first = vec![0u64; nthreads];
+    let mut next = vec![0u64; order.len()];
+    let mut last_idx: Vec<Option<usize>> = vec![None; nthreads];
+    for (idx, &tid) in order.iter().enumerate() {
+        let tick = (idx + 1) as u64;
+        match last_idx[tid] {
+            None => first[tid] = tick,
+            Some(prev) => next[prev] = tick,
+        }
+        last_idx[tid] = Some(idx);
+    }
+    (first, next)
+}
 
 /// A demo whose streams are derived from an actual schedule — the QUEUE
 /// linked-list invariants (exact cover of ticks `1..=T`, forward-pointing
@@ -19,23 +38,9 @@ fn demo_from_schedule(
     asyncs: &[(bool, usize, u64)],
     alloc: Vec<u64>,
 ) -> Demo {
-    let mut first = vec![0u64; nthreads];
-    let mut next = vec![0u64; order.len()];
-    let mut last_idx: Vec<Option<usize>> = vec![None; nthreads];
-    for (idx, &tid) in order.iter().enumerate() {
-        let tick = (idx + 1) as u64;
-        match last_idx[tid] {
-            None => first[tid] = tick,
-            Some(prev) => next[prev] = tick,
-        }
-        last_idx[tid] = Some(idx);
-    }
-
+    let (first, next) = expanded_queue(nthreads, order);
     let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [5, 9]));
-    demo.queue = QueueStream {
-        first_tick: first,
-        next_ticks: next,
-    };
+    demo.queue = QueueStream::new(first, &next);
 
     // SIGNAL ticks need only be per-tid non-decreasing; sorting by
     // (tid, tick) models the per-thread recording order.
@@ -166,7 +171,7 @@ proptest! {
         bufs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..4),
     ) {
         let mut demo = Demo::new(DemoHeader::new("tsan11rec", "queue", [seeds.0, seeds.1]));
-        demo.queue = QueueStream { first_tick: first, next_ticks: ticks };
+        demo.queue = QueueStream::new(first, &ticks);
         demo.signals = signals
             .into_iter()
             .map(|(tid, tick, signo)| SignalEvent { tid, tick, signo })
@@ -333,5 +338,103 @@ proptest! {
         // The replay cursor semantics ride on the QUEUE stream alone;
         // byte-level equality of the re-encoded stream pins it.
         prop_assert_eq!(back.queue, demo.queue);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// QUEUE as runs: the recorder and both loaders keep the next-tick list as
+// canonical RLE tokens and never expand it, so the tokens must be exactly
+// the ones the expanded list tokenizes to.
+
+/// The greedy run detection the codecs have always used, tokenizing a
+/// whole slice at once: from each position the longest arithmetic(+1)
+/// run, else the longest constant run, else a literal. The reference
+/// `rle::Tokenizer`'s streaming form must agree with, or demos would not
+/// stay byte-identical.
+fn greedy_tokens(values: &[u64]) -> Vec<U64Token> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < values.len() {
+        let v = values[i];
+        let inc = (1..)
+            .take_while(|&d| values.get(i + d) == Some(&(v + d as u64)))
+            .count()
+            + 1;
+        let rep = (1..).take_while(|&d| values.get(i + d) == Some(&v)).count() + 1;
+        if inc >= rep && inc > 1 {
+            out.push(U64Token::IncRun {
+                base: v,
+                extra: (inc - 1) as u64,
+            });
+            i += inc;
+        } else if rep > 1 {
+            out.push(U64Token::Repeat {
+                value: v,
+                count: rep as u64,
+            });
+            i += rep;
+        } else {
+            out.push(U64Token::Literal(v));
+            i += 1;
+        }
+    }
+    out
+}
+
+/// An arbitrary RLE token, canonical or not.
+fn token() -> impl Strategy<Value = U64Token> {
+    prop_oneof![
+        (0u64..40).prop_map(U64Token::Literal),
+        (0u64..40, 1u64..6).prop_map(|(base, extra)| U64Token::IncRun { base, extra }),
+        (0u64..40, 2u64..6).prop_map(|(value, count)| U64Token::Repeat { value, count }),
+    ]
+}
+
+proptest! {
+    /// Runs built the way the recorder builds them tokenize exactly like
+    /// the expanded list, so binary demos stay byte-identical.
+    #[test]
+    fn recorder_runs_tokenize_like_the_expanded_list(
+        nthreads in 1usize..6,
+        runs in proptest::collection::vec((any::<u32>(), 1usize..40), 0..40),
+    ) {
+        let order: Vec<usize> = runs
+            .iter()
+            .flat_map(|&(pick, len)| (0..len).map(move |_| pick as usize % nthreads))
+            .collect();
+        let (first, next) = expanded_queue(nthreads, &order);
+        let mut recorder = ScheduleRuns::default();
+        for (tick, &tid) in (1u64..).zip(&order) {
+            recorder.push(tid as u32, tick);
+        }
+        let q = recorder.into_queue(nthreads);
+        prop_assert_eq!(q.next_tick_tokens(), rle::u64_tokens(&next).as_slice());
+        prop_assert_eq!(&q.first_tick, &first);
+        prop_assert_eq!(q.next_tick_count(), next.len());
+        let header = DemoHeader::new("tsan11rec", "queue", [1, 2]);
+        let mut from_runs = Demo::new(header.clone());
+        from_runs.queue = q;
+        let mut from_list = Demo::new(header);
+        from_list.queue = QueueStream::new(first, &next);
+        prop_assert_eq!(from_runs.to_bytes_map(), from_list.to_bytes_map());
+    }
+
+    /// The streaming tokenizer cuts runs exactly where the greedy one does.
+    #[test]
+    fn tokenizer_matches_the_greedy_reference(tokens in proptest::collection::vec(token(), 0..30)) {
+        let values: Vec<u64> = rle::Expand::new(tokens.iter().copied()).collect();
+        prop_assert_eq!(rle::u64_tokens(&values), greedy_tokens(&values));
+    }
+
+    /// Any token sequence, canonical or not, becomes the canonical runs
+    /// of its values, so streams compare by value.
+    #[test]
+    fn non_canonical_tokens_canonicalize(tokens in proptest::collection::vec(token(), 0..30)) {
+        let values: Vec<u64> = rle::Expand::new(tokens.iter().copied()).collect();
+        let q = QueueStream::from_tokens(vec![1], tokens.iter().copied());
+        prop_assert_eq!(&q, &QueueStream::new(vec![1], &values));
+        prop_assert_eq!(q.next_ticks().collect::<Vec<_>>(), values);
+        // The text form reads the tokens back as written.
+        prop_assert_eq!(rle::parse_tokens(&rle::format_tokens(&tokens)).unwrap(), tokens);
     }
 }

@@ -97,10 +97,7 @@ fn clean_validation_does_not_allocate() {
 
     // The counter does see allocations: a violation formats its message.
     let mut broken = Demo::new(DemoHeader::new("tsan11rec", "queue", [1, 2]));
-    broken.queue = QueueStream {
-        first_tick: vec![1, 1],
-        next_ticks: vec![0, 0],
-    };
+    broken.queue = QueueStream::new(vec![1, 1], &[0, 0]);
     let (allocs, violations) = allocations_during_validate(&broken);
     assert_eq!(violations, 2);
     assert!(allocs > 0);
