@@ -50,6 +50,7 @@ mod atomic;
 mod config;
 mod exec;
 mod ids;
+mod pool;
 mod prng;
 mod report;
 mod runtime;

@@ -10,7 +10,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AOrd};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering as AOrd};
 use std::sync::Arc;
 
 use parking_lot::Mutex as PlMutex;
@@ -121,9 +121,9 @@ pub(crate) struct Runtime {
     /// Tid allocator for uncontrolled modes (controlled modes allocate
     /// through the scheduler).
     pub next_tid: AtomicU32,
-    /// OS join handles of every spawned thread, drained by the harness.
-    pub os_handles: PlMutex<Vec<std::thread::JoinHandle<()>>>,
-    pub stop_liveness: AtomicBool,
+    /// Completion handles of every spawned thread's pooled job, drained
+    /// by the harness.
+    pub os_handles: PlMutex<Vec<crate::pool::Done>>,
     pub panic_note: PlMutex<Option<String>>,
     /// Free-mode visible-operation counter (controlled modes count ticks).
     pub free_ops: AtomicU32,
@@ -183,7 +183,6 @@ impl Runtime {
             free_finished: PlMutex::new(HashMap::new()),
             next_tid: AtomicU32::new(1),
             os_handles: PlMutex::new(Vec::new()),
-            stop_liveness: AtomicBool::new(false),
             panic_note: PlMutex::new(None),
             free_ops: AtomicU32::new(0),
             sync_trace,

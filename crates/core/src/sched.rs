@@ -126,6 +126,31 @@ fn spin_for_wake(epoch: &AtomicU64, seen: u64) {
     }
 }
 
+/// The liveness rescheduler's clock (§3.3). There is no background
+/// thread: a waiter parks until `deadline` at the latest, and the first
+/// one whose park times out past it runs the reschedule and moves the
+/// deadline one `interval` on, so attempts never come faster than the
+/// interval.
+struct Liveness {
+    interval: Duration,
+    deadline: Instant,
+}
+
+impl Liveness {
+    /// The deadline a thread parking at `now` waits for. A deadline that
+    /// passed with nobody parked moves on to the next whole interval, so
+    /// the attempt comes when a periodic rescheduler's would, not the
+    /// moment the next thread parks.
+    fn park_deadline(&mut self, now: Instant) -> Instant {
+        if self.deadline <= now {
+            let step = self.interval.as_nanos().max(1);
+            let late = (now - self.deadline).as_nanos() % step;
+            self.deadline = now + Duration::from_nanos((step - late) as u64);
+        }
+        self.deadline
+    }
+}
+
 /// CPUs this process may run on, read once per process:
 /// `available_parallelism` honours the affinity mask and the cgroup CPU
 /// quota, but reads files to do so, too slow for every `Execution`.
@@ -259,6 +284,9 @@ struct SchedState {
     /// off. The builder's lock is a leaf under the scheduler mutex: the
     /// runtime never holds it while taking this one.
     sync_trace: Option<Arc<Mutex<SyncTraceBuilder>>>,
+    /// The liveness rescheduler, when on (not in replays, nor with
+    /// `Config::without_liveness`).
+    liveness: Option<Liveness>,
     /// Whether waiting threads spin before they park: not on a single
     /// CPU, where the spinner would only keep the thread it waits for off
     /// the CPU.
@@ -347,6 +375,7 @@ impl Scheduler {
                 delay_budget,
                 slice_jitter,
                 sync_trace: None,
+                liveness: None,
                 spin: cpus > 1,
                 wakeups_issued: 0,
                 broadcasts: 0,
@@ -365,6 +394,16 @@ impl Scheduler {
     /// Attaches the run's sync trace, which then records the schedule.
     pub fn enable_sync_trace(&self, trace: Arc<Mutex<SyncTraceBuilder>>) {
         self.state.lock().sync_trace = Some(trace);
+    }
+
+    /// Switches on the liveness rescheduler (§3.3): from `interval` after
+    /// this call, a thread parked in `Wait()` while the active thread runs
+    /// invisible code gets the slot, at most once per `interval`.
+    pub fn enable_liveness(&self, interval: Duration) {
+        self.state.lock().liveness = Some(Liveness {
+            interval,
+            deadline: Instant::now() + interval,
+        });
     }
 
     /// Attaches the structured observability collector.
@@ -586,7 +625,7 @@ impl Scheduler {
         mut ready: impl FnMut(&mut SchedState) -> bool,
     ) -> MutexGuard<'_, SchedState> {
         let mut g = self.state.lock();
-        let mut slept = false;
+        let mut woken = false;
         loop {
             if let Some(f) = &g.fail {
                 let f = f.clone();
@@ -596,7 +635,7 @@ impl Scheduler {
             if ready(&mut g) {
                 return g;
             }
-            if slept {
+            if woken {
                 g.spurious_wakeups += 1;
                 if let Some(m) = &g.metrics {
                     m.spurious.inc();
@@ -610,8 +649,7 @@ impl Scheduler {
             // A thread that completed the all-waiting condition must not
             // sleep through its own stall verdict.
             if g.fail.is_none() {
-                g = self.sleep(g, tid);
-                slept = true;
+                (g, woken) = self.sleep(g, tid);
             }
             g.in_wait_count -= 1;
             g.threads[tid.index()].in_wait = false;
@@ -619,8 +657,14 @@ impl Scheduler {
     }
 
     /// Waits for a wakeup aimed at `tid`: spins on its slot's epoch with
-    /// the mutex released, then parks on the slot's condvar. The caller
-    /// re-checks its condition either way.
+    /// the mutex released, then parks on the slot's condvar. Returns
+    /// whether a wakeup came; the caller re-checks its condition either
+    /// way.
+    ///
+    /// With liveness on, the park ends at the liveness deadline at the
+    /// latest, and a park that timed out runs the reschedule if the
+    /// deadline has passed. A timeout is no wakeup, so it never counts as
+    /// a spurious one.
     ///
     /// No wakeup is lost: `sleep` changes only under the mutex, so the
     /// re-check after the spin sees every wakeup issued meanwhile, and a
@@ -630,7 +674,7 @@ impl Scheduler {
         &'a self,
         mut g: MutexGuard<'a, SchedState>,
         tid: Tid,
-    ) -> MutexGuard<'a, SchedState> {
+    ) -> (MutexGuard<'a, SchedState>, bool) {
         let slot = Arc::clone(&g.threads[tid.index()].slot);
         if g.spin {
             g.threads[tid.index()].sleep = Sleep::Spinning;
@@ -639,14 +683,25 @@ impl Scheduler {
             spin_for_wake(&slot.epoch, seen);
             g = self.state.lock();
             if g.threads[tid.index()].sleep == Sleep::Awake {
-                return g;
+                return (g, true);
             }
         }
         g.threads[tid.index()].sleep = Sleep::Parked;
-        slot.cv.wait(&mut g);
-        // Awake unless the condvar woke spuriously.
-        g.threads[tid.index()].sleep = Sleep::Awake;
-        g
+        let now = Instant::now();
+        match g.liveness.as_mut().map(|l| l.park_deadline(now)) {
+            Some(deadline) => {
+                slot.cv.wait_for(&mut g, deadline - now);
+            }
+            None => slot.cv.wait(&mut g),
+        }
+        // Wakers set the state back to `Awake`; still `Parked` means the
+        // park timed out (or the condvar woke spuriously).
+        let woken =
+            std::mem::replace(&mut g.threads[tid.index()].sleep, Sleep::Awake) == Sleep::Awake;
+        if !woken {
+            g.liveness_due();
+        }
+        (g, woken)
     }
 
     /// `ThreadNew(tid)` (§3.2): registers a newly created thread; returns
@@ -801,79 +856,6 @@ impl Scheduler {
             .pop_front()
     }
 
-    /// `Reschedule()` (§3.3): called by the liveness background thread.
-    /// Returns `true` if a reschedule was applied (and, when recording,
-    /// logged as an ASYNC event).
-    pub fn reschedule(&self) -> bool {
-        let mut g = self.state.lock();
-        if g.cs_in_flight || g.fail.is_some() || g.replay.active {
-            return false;
-        }
-        let Some(active) = g.active else {
-            return false;
-        };
-        // Only force a reschedule when the active thread is off executing
-        // invisible operations while others sit blocked in Wait().
-        if g.threads[active.index()].in_wait {
-            return false;
-        }
-        let someone_waiting = g
-            .threads
-            .iter()
-            .enumerate()
-            .any(|(i, t)| Tid(i as u32) != active && t.in_wait && t.status == Status::Enabled);
-        if !someone_waiting {
-            return false;
-        }
-        let applied = match g.strategy {
-            Strategy::Queue | Strategy::Slice { .. } => {
-                // FCFS liveness: hand the slot to the next arrival; the
-                // displaced thread re-enqueues at its next Wait(). No PRNG
-                // draw, so nothing to record (the QUEUE stream captures
-                // the final order).
-                if let Some(next) = g.arrivals.pop_front() {
-                    g.threads[next.index()].queued = false;
-                    g.active = Some(next);
-                    true
-                } else if matches!(g.strategy, Strategy::Slice { .. }) {
-                    g.rotate_slice(active)
-                } else {
-                    false
-                }
-            }
-            Strategy::Random | Strategy::Pct { .. } | Strategy::Delay { .. } => {
-                // Logical candidate set (all enabled except the active
-                // thread) so the replayed draw sees the same set.
-                let candidates: Vec<Tid> = g
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, t)| t.status == Status::Enabled && Tid(*i as u32) != active)
-                    .map(|(i, _)| Tid(i as u32))
-                    .collect();
-                if candidates.is_empty() {
-                    false
-                } else {
-                    let pick = candidates[g.prng.below(candidates.len())];
-                    g.active = Some(pick);
-                    if let Strategy::Pct { .. } = g.strategy {
-                        g.hot = pick;
-                    }
-                    let tick = g.tick;
-                    if g.record.active {
-                        g.record.async_events.push(AsyncEvent::Reschedule { tick });
-                    }
-                    true
-                }
-            }
-        };
-        if applied {
-            // The reschedule moved `active`; wake the new owner.
-            g.wake_next();
-        }
-        applied
-    }
-
     /// Snapshot of the wakeup accounting.
     pub fn counters(&self) -> SchedCounters {
         let g = self.state.lock();
@@ -923,6 +905,93 @@ impl Scheduler {
 }
 
 impl SchedState {
+    /// Runs the liveness reschedule if its deadline has passed, and moves
+    /// the deadline one interval on. Called by a waiter whose park timed
+    /// out, which is itself in `Wait()`: whenever [`SchedState::reschedule`]
+    /// can apply, some enabled thread other than the active one waits, and
+    /// its park times out at the deadline.
+    fn liveness_due(&mut self) {
+        let now = Instant::now();
+        match &mut self.liveness {
+            Some(l) if now >= l.deadline => l.deadline = now + l.interval,
+            _ => return,
+        }
+        self.reschedule();
+    }
+
+    /// `Reschedule()` (§3.3): hands the slot on when the active thread is
+    /// off in invisible code while others wait. A reschedule that draws
+    /// from the PRNG is recorded as an ASYNC event.
+    fn reschedule(&mut self) {
+        if self.cs_in_flight || self.fail.is_some() || self.replay.active {
+            return;
+        }
+        let Some(active) = self.active else {
+            return;
+        };
+        // Only force a reschedule when the active thread is off executing
+        // invisible operations while others sit blocked in Wait().
+        if self.threads[active.index()].in_wait {
+            return;
+        }
+        let someone_waiting = self
+            .threads
+            .iter()
+            .enumerate()
+            .any(|(i, t)| Tid(i as u32) != active && t.in_wait && t.status == Status::Enabled);
+        if !someone_waiting {
+            return;
+        }
+        let applied = match self.strategy {
+            Strategy::Queue | Strategy::Slice { .. } => {
+                // FCFS liveness: hand the slot to the next arrival; the
+                // displaced thread re-enqueues at its next Wait(). No PRNG
+                // draw, so nothing to record (the QUEUE stream captures
+                // the final order).
+                if let Some(next) = self.arrivals.pop_front() {
+                    self.threads[next.index()].queued = false;
+                    self.active = Some(next);
+                    true
+                } else if matches!(self.strategy, Strategy::Slice { .. }) {
+                    self.rotate_slice(active)
+                } else {
+                    false
+                }
+            }
+            Strategy::Random | Strategy::Pct { .. } | Strategy::Delay { .. } => {
+                // Logical candidate set (all enabled except the active
+                // thread) so the replayed draw sees the same set.
+                let candidates: Vec<Tid> = self
+                    .threads
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, t)| t.status == Status::Enabled && Tid(*i as u32) != active)
+                    .map(|(i, _)| Tid(i as u32))
+                    .collect();
+                if candidates.is_empty() {
+                    false
+                } else {
+                    let pick = candidates[self.prng.below(candidates.len())];
+                    self.active = Some(pick);
+                    if let Strategy::Pct { .. } = self.strategy {
+                        self.hot = pick;
+                    }
+                    let tick = self.tick;
+                    if self.record.active {
+                        self.record
+                            .async_events
+                            .push(AsyncEvent::Reschedule { tick });
+                    }
+                    true
+                }
+            }
+        };
+        if applied {
+            // The reschedule moved `active`; wake the new owner.
+            self.wake_next();
+        }
+    }
+
     fn eligible(&mut self, tid: Tid) -> bool {
         let st = &self.threads[tid.index()];
         if st.status != Status::Enabled {
@@ -1834,6 +1903,52 @@ mod tests {
             c.spurious_wakeups, 0,
             "targeted wakeup must only wake eligible threads"
         );
+    }
+
+    #[test]
+    fn liveness_timeouts_are_not_spurious_wakeups() {
+        // T1 waits while main's critical section is in flight, so every
+        // liveness attempt applies nothing: T1's park times out past the
+        // deadline again and again, and no wakeup is aimed at it.
+        let interval = Duration::from_millis(1);
+        let s = Arc::new(Scheduler::with_cpus(
+            Strategy::Random,
+            Prng::from_seeds([1, 2]),
+            1,
+        ));
+        s.enable_recording();
+        s.enable_liveness(interval);
+        s.wait(Tid::MAIN);
+        let t1 = s.thread_new();
+        s.tick(Tid::MAIN);
+        s.state.lock().active = Some(Tid::MAIN);
+        s.wait(Tid::MAIN);
+        let s2 = Arc::clone(&s);
+        let h = std::thread::spawn(move || {
+            s2.wait(t1);
+            s2.thread_finish(t1);
+            s2.tick(t1);
+        });
+        while !s.state.lock().threads[t1.index()].in_wait {
+            std::thread::yield_now();
+        }
+        let parked = Instant::now();
+        std::thread::sleep(20 * interval);
+        let deadline = s.state.lock().liveness.as_ref().map(|l| l.deadline);
+        assert!(
+            deadline.is_some_and(|d| d >= parked + 2 * interval),
+            "T1 timed out past the deadline and moved it on"
+        );
+        // Main's last section hands the slot to T1 with a real wakeup.
+        s.thread_finish(Tid::MAIN);
+        s.tick(Tid::MAIN);
+        h.join().unwrap();
+        assert!(s.failure().is_none());
+        let c = s.counters();
+        assert_eq!(c.spurious_wakeups, 0, "{c:?}");
+        assert!(c.wakeups_issued <= c.ticks + c.broadcasts, "{c:?}");
+        let (_, _, async_events) = s.take_recording();
+        assert!(async_events.is_empty(), "no reschedule was applied");
     }
 
     #[test]

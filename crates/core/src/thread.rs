@@ -12,14 +12,14 @@ use parking_lot::Mutex as PlMutex;
 use srr_memmodel::ThreadView;
 
 use crate::ids::Tid;
-use crate::runtime::{clear_ctx, current_rt, install_ctx, with_ctx, Runtime};
+use crate::runtime::{current_rt, install_ctx, with_ctx, Runtime};
 use crate::sched::{FailReason, SchedAbort};
 
 /// Handle to an instrumented thread; joining is a visible operation.
 ///
-/// The underlying OS thread handle is owned by the runtime (the execution
-/// harness waits for every OS thread at the end of the run), so dropping a
-/// `JoinHandle` detaches only logically.
+/// The thread runs on a pooled OS thread whose completion handle the
+/// runtime owns (the execution harness waits for every one at the end of
+/// the run), so dropping a `JoinHandle` detaches only logically.
 pub struct JoinHandle<T> {
     target: Tid,
     result: Arc<PlMutex<Option<T>>>,
@@ -64,7 +64,7 @@ where
     let result = Arc::new(PlMutex::new(None));
     let result2 = Arc::clone(&result);
     let rt2 = Arc::clone(&rt);
-    let os = std::thread::spawn(move || {
+    let os = crate::pool::run(move || {
         let mut view = ThreadView::new(child_tid.index());
         view.clock.join(&parent_clock); // creation synchronizes
         install_ctx(Arc::clone(&rt2), child_tid, view);
@@ -87,7 +87,6 @@ where
             }
             Err(payload) => handle_panic(&rt2, child_tid, payload),
         }
-        clear_ctx();
     });
     rt.os_handles.lock().push(os);
 
